@@ -7,13 +7,14 @@ shortest digit string that reparses to the same 64-bit value.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
 import numpy as np
 
 from .errors import DimensionError, ProblemFormatError
-from .lattice import CandidateMinimal
+from .lattice import CandidateMinimal, Candidates, row_keys
 from .model import Problem
 from .optimize import SolveReport
 from .simplify import SimplificationLog
@@ -175,8 +176,59 @@ def report_to_dict(report: SolveReport) -> dict:
     }
 
 
+#: Stands in for the candidate list while the rest of a report is dumped;
+#: no other field of a report holds a NUL character.
+_CANDIDATES_SLOT = "\0candidates\0"
+
+# The layout ``json.dumps(indent=2)`` gives the candidates of a report.
+_ITEM_OPEN = '    {\n      "e": [\n        '
+_ITEM_NEXT = ",\n" + _ITEM_OPEN
+_ITEM_MID = '\n      ],\n      "point": [\n        '
+_ITEM_CLOSE = '\n      ],\n      "feasible": %s\n    }'
+_NUMBER_SEP = ",\n        "
+
+
+def _candidates_dumps(candidates: Candidates) -> list[str]:
+    """Pieces of the report's ``candidates`` array, laid out as ``json.dumps``.
+
+    Each distinct point is written once, with ``float.__repr__`` as in
+    ``json``, and its text is shared by every selector that reaches it.
+    """
+    if len(candidates) == 0:
+        return ["[]"]
+    _, first, corner = np.unique(
+        row_keys(candidates.points), return_index=True, return_inverse=True
+    )
+    points = [
+        _ITEM_MID + _NUMBER_SEP.join(map(float.__repr__, candidates.points[k].tolist()))
+        for k in first
+    ]
+    tails = {
+        flag: [text + _ITEM_CLOSE % json.dumps(flag) + _ITEM_NEXT for text in points]
+        for flag in (False, True)
+    }
+    cols = [str(j) for j in range(candidates.points.shape[1])]
+    pieces = ["[\n" + _ITEM_OPEN]
+    for choice, k, flag in zip(
+        candidates.choices.tolist(), corner.tolist(), candidates.feasible.tolist()
+    ):
+        pieces += (_NUMBER_SEP.join(map(cols.__getitem__, choice)), tails[flag][k])
+    pieces[-1] = pieces[-1][: -len(_ITEM_NEXT)] + "\n  ]"
+    return pieces
+
+
 def report_dumps(report: SolveReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """``json.dumps(report_to_dict(report), indent=2)``, written directly.
+
+    The candidate list is written from the report's arrays and the rest
+    of the document by ``json.dumps``; the text is the same byte for byte.
+    """
+    if report.candidates is None:
+        return json.dumps(report_to_dict(report), indent=2)
+    doc = report_to_dict(dataclasses.replace(report, candidates=None))
+    doc["candidates"] = _CANDIDATES_SLOT
+    head, tail = json.dumps(doc, indent=2).split(json.dumps(_CANDIDATES_SLOT))
+    return "".join([head, *_candidates_dumps(report.candidates), tail])
 
 
 def generate_instance(m: int, n: int, params: WpmParams, seed: int) -> Problem:

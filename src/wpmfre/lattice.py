@@ -23,8 +23,8 @@ before any expansion.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULT_CHOICE_LIMIT",
     "MaxSolution",
     "CandidateMinimal",
+    "Candidates",
     "max_solution_row",
     "global_max_solution",
     "max_solution",
@@ -48,6 +49,7 @@ __all__ = [
     "choice_space_size",
     "enumerate_candidates",
     "feasible_candidates",
+    "stranded_rows",
 ]
 
 #: Default ceiling on the number of selector vectors enumerated.
@@ -75,6 +77,39 @@ class CandidateMinimal:
     choice: tuple[int, ...]
     point: np.ndarray
     feasible: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Candidate lower corners as arrays, one row per selector.
+
+    ``choices`` is ``(N, m)`` with one selector per row, ``points`` is
+    ``(N, n)`` with that selector's lower corner, and ``feasible`` is
+    ``(N,)``.  The arrays are made read-only on construction.  ``len()``,
+    indexing and iteration see the rows as :class:`CandidateMinimal`
+    whose ``point`` is a read-only view.
+    """
+
+    choices: np.ndarray
+    points: np.ndarray
+    feasible: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.choices, self.points, self.feasible):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.feasible)
+
+    def __getitem__(self, k: int) -> CandidateMinimal:
+        return CandidateMinimal(
+            choice=tuple(self.choices[k].tolist()),
+            point=self.points[k],
+            feasible=bool(self.feasible[k]),
+        )
+
+    def __iter__(self) -> Iterator[CandidateMinimal]:
+        return map(self.__getitem__, range(len(self)))
 
 
 def max_solution_row(problem: Problem, cls: RowClassification) -> np.ndarray:
@@ -137,12 +172,15 @@ def enumerate_candidates(
     problem: Problem,
     classifications: tuple[RowClassification, ...],
     limit: int = DEFAULT_CHOICE_LIMIT,
-) -> list[CandidateMinimal]:
-    """Materialize one candidate per selector vector, in lexicographic order.
+) -> Candidates:
+    """One candidate per selector vector, in lexicographic order.
 
     The selector space size is checked against ``limit`` before any
     expansion; a breach raises :class:`EnumerationBudgetError` carrying
-    the exact required count.  Every row must be feasible.
+    the exact required count.  Every row must be feasible.  The grid of
+    selectors is built with one broadcast pass per row: row ``i`` writes
+    its active columns into axis ``i`` of the selectors and maxes its
+    levels into the corners.
     """
     for cls in classifications:
         if not row_feasible(cls):
@@ -150,44 +188,64 @@ def enumerate_candidates(
     required = choice_space_size(classifications)
     if required > limit:
         raise EnumerationBudgetError(required=required, limit=limit)
-    values = {
-        (cls.row, j): wpm_inverse(
-            float(problem.A[cls.row, j]), float(problem.b[cls.row]), problem.params
-        )
-        for cls in classifications
-        for j in cls.active
-    }
-    x_max = max_solution(problem, classifications).overall
-    out: list[CandidateMinimal] = []
-    for choice in itertools.product(*(cls.active for cls in classifications)):
-        point = np.zeros(problem.n)
-        for i, j in enumerate(choice):
-            v = values[(i, j)]
-            if v > point[j]:
-                point[j] = v
-        feasible = bool(np.all(point <= x_max + CLASSIFY_TOL))
-        point.setflags(write=False)
-        out.append(CandidateMinimal(choice=choice, point=point, feasible=feasible))
-    return out
+    ms = max_solution(problem, classifications)
+    m, n = problem.m, problem.n
+    sizes = tuple(len(cls.active) for cls in classifications)
+    choices = np.empty(sizes + (m,), dtype=np.intp)
+    points = np.zeros(sizes + (n,))
+    for i, cls in enumerate(classifications):
+        cols = np.array(cls.active, dtype=np.intp)
+        axis = [1] * m
+        axis[i] = sizes[i]
+        choices[..., i] = cols.reshape(axis)
+        # row i's row-minimal points, one per active column
+        level = np.zeros((sizes[i], n))
+        level[np.arange(sizes[i]), cols] = ms.per_row[i, cols]
+        np.maximum(points, level.reshape(axis + [n]), out=points)
+    points = points.reshape(required, n)
+    return Candidates(
+        choices=choices.reshape(required, m),
+        points=points,
+        feasible=np.all(points <= ms.overall + CLASSIFY_TOL, axis=1),
+    )
 
 
-def feasible_candidates(
-    candidates: list[CandidateMinimal],
-) -> list[CandidateMinimal]:
+def stranded_rows(
+    problem: Problem, classifications: tuple[RowClassification, ...]
+) -> list[int]:
+    """Rows with no active column whose level fits under ``x_max``.
+
+    Exactly when this list is nonempty, :func:`enumerate_candidates`
+    marks every candidate infeasible: a selector picking a fitting column
+    in every row would give a corner under ``x_max``.
+    """
+    ms = max_solution(problem, classifications)
+    stranded = []
+    for i, cls in enumerate(classifications):
+        cols = list(cls.active)
+        if not np.any(ms.per_row[i, cols] <= ms.overall[cols] + CLASSIFY_TOL):
+            stranded.append(cls.row)
+    return stranded
+
+
+def row_keys(points: np.ndarray) -> np.ndarray:
+    """One opaque key per row of ``points``; keys are equal iff the bytes are."""
+    points = np.ascontiguousarray(points)
+    return points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+
+
+def feasible_candidates(candidates: Candidates) -> Candidates:
     """Feasible candidates with duplicate points removed.
 
     Distinct selectors can generate bit-identical points; the first
     occurrence in lexicographic selector order is kept, so the result is
     deterministic.
     """
-    seen: set[bytes] = set()
-    out: list[CandidateMinimal] = []
-    for cand in candidates:
-        if not cand.feasible:
-            continue
-        key = cand.point.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(cand)
-    return out
+    rows = np.flatnonzero(candidates.feasible)
+    _, first = np.unique(row_keys(candidates.points[rows]), return_index=True)
+    keep = rows[np.sort(first)]
+    return Candidates(
+        choices=candidates.choices[keep],
+        points=candidates.points[keep],
+        feasible=candidates.feasible[keep],
+    )

@@ -21,10 +21,11 @@ import numpy as np
 from .errors import EnumerationBudgetError, InfeasibleProblemError, MembershipError
 from .lattice import (
     DEFAULT_CHOICE_LIMIT,
-    CandidateMinimal,
+    Candidates,
     enumerate_candidates,
     feasible_candidates,
     max_solution,
+    stranded_rows,
 )
 from .model import Problem, classify_all, row_feasible
 from .oracle import check_membership
@@ -80,31 +81,28 @@ class SolveReport:
     e_star: tuple[int, ...] | None
     candidates_total: int | None
     candidates_feasible: int | None
-    candidates: tuple[CandidateMinimal, ...] | None
+    candidates: Candidates | None
     simplification: SimplificationLog | None
     diagnostic: dict | None
     timing_seconds: float
 
 
 def solve_z2(
-    candidates: list[CandidateMinimal], c_positive: np.ndarray
+    candidates: Candidates, c_positive: np.ndarray
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Feasible candidate minimizing the positive-part cost.
 
     Ties go to the lexicographically smallest selector, which is the
-    first one encountered because enumeration is lexicographic.
+    first one encountered because enumeration is lexicographic.  Each
+    cost is its own ``c_positive @ point``, so equal corners cost
+    bit-identical amounts and a tie never depends on summation order.
     """
-    best: CandidateMinimal | None = None
-    best_cost = float("inf")
-    for cand in candidates:
-        if not cand.feasible:
-            continue
-        cost = float(c_positive @ cand.point)
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    if best is None:
+    rows = np.flatnonzero(candidates.feasible)
+    if rows.size == 0:
         raise InfeasibleProblemError("no feasible candidate lower corner")
-    return best.choice, best.point
+    costs = [float(c_positive @ candidates.points[k]) for k in rows]
+    best = rows[costs.index(min(costs))]
+    return tuple(candidates.choices[best].tolist()), candidates.points[best]
 
 
 def assemble_optimum(
@@ -112,6 +110,31 @@ def assemble_optimum(
 ) -> np.ndarray:
     """Stitch the optimum: top corner where cost is negative, bottom otherwise."""
     return np.where(np.asarray(c, dtype=float) < 0.0, x_max, x_min_star)
+
+
+def _unsolved(
+    status: str,
+    feasible: bool,
+    t0: float,
+    diagnostic: dict,
+    x_max: np.ndarray | None = None,
+    simplification: SimplificationLog | None = None,
+) -> SolveReport:
+    """Report of a run that ends without an optimum."""
+    return SolveReport(
+        status=status,
+        feasible=feasible,
+        x_max=x_max,
+        x_star=None,
+        z_star=None,
+        e_star=None,
+        candidates_total=None,
+        candidates_feasible=None,
+        candidates=None,
+        simplification=simplification,
+        diagnostic=diagnostic,
+        timing_seconds=time.perf_counter() - t0,
+    )
 
 
 def solve(
@@ -122,54 +145,41 @@ def solve(
     """End-to-end pipeline: classify, test feasibility, simplify, optimize.
 
     Never raises for infeasible or over-budget instances; those outcomes
-    are encoded in the report status and diagnostic.  A membership check
-    on the assembled optimum runs against the original, unsimplified
-    problem and raises :class:`MembershipError` if it ever fails.
+    are encoded in the report status and diagnostic.  That includes the
+    case where ``x_max`` passes the membership check but no candidate
+    corner fits under it (reason ``"no_corner_under_x_max"``).  A
+    membership check on the assembled optimum runs against the original,
+    unsimplified problem and raises :class:`MembershipError` if it ever
+    fails.
     """
     t0 = time.perf_counter()
     classifications = classify_all(problem)
     for cls in classifications:
         if not row_feasible(cls):
-            return SolveReport(
-                status=STATUS_INFEASIBLE,
-                feasible=False,
-                x_max=None,
-                x_star=None,
-                z_star=None,
-                e_star=None,
-                candidates_total=None,
-                candidates_feasible=None,
-                candidates=None,
-                simplification=None,
-                diagnostic={
+            return _unsolved(
+                STATUS_INFEASIBLE,
+                False,
+                t0,
+                {
                     "reason": "infeasible_row",
                     "row": cls.row,
                     "blocking_columns": list(cls.blocking),
                     "active_columns": list(cls.active),
                 },
-                timing_seconds=time.perf_counter() - t0,
             )
     x_max = max_solution(problem, classifications).overall
     member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
     if not member:
-        worst = int(np.argmax(residuals))
-        return SolveReport(
-            status=STATUS_INFEASIBLE,
-            feasible=False,
-            x_max=x_max,
-            x_star=None,
-            z_star=None,
-            e_star=None,
-            candidates_total=None,
-            candidates_feasible=None,
-            candidates=None,
-            simplification=None,
-            diagnostic={
+        return _unsolved(
+            STATUS_INFEASIBLE,
+            False,
+            t0,
+            {
                 "reason": "maximum_point_not_solution",
                 "residuals": residuals.tolist(),
-                "worst_row": worst,
+                "worst_row": int(np.argmax(residuals)),
             },
-            timing_seconds=time.perf_counter() - t0,
+            x_max=x_max,
         )
     working = problem
     log: SimplificationLog | None = None
@@ -179,25 +189,31 @@ def solve(
     try:
         candidates = enumerate_candidates(working, working_cls, limit=limit)
     except EnumerationBudgetError as exc:
-        return SolveReport(
-            status=STATUS_BUDGET_EXCEEDED,
-            feasible=True,
-            x_max=x_max,
-            x_star=None,
-            z_star=None,
-            e_star=None,
-            candidates_total=None,
-            candidates_feasible=None,
-            candidates=None,
-            simplification=log,
-            diagnostic={
+        return _unsolved(
+            STATUS_BUDGET_EXCEEDED,
+            True,
+            t0,
+            {
                 "reason": "choice_space_exceeds_limit",
                 "required": exc.required,
                 "limit": exc.limit,
             },
-            timing_seconds=time.perf_counter() - t0,
+            x_max=x_max,
+            simplification=log,
         )
     distinct = feasible_candidates(candidates)
+    if len(distinct) == 0:
+        return _unsolved(
+            STATUS_INFEASIBLE,
+            False,
+            t0,
+            {
+                "reason": "no_corner_under_x_max",
+                "rows": stranded_rows(working, working_cls),
+            },
+            x_max=x_max,
+            simplification=log,
+        )
     split = CostSplit.from_costs(problem.c)
     e_star, x_min_star = solve_z2(distinct, split.positive)
     x_star = assemble_optimum(x_max, x_min_star, problem.c)
@@ -216,7 +232,7 @@ def solve(
         e_star=e_star,
         candidates_total=len(candidates),
         candidates_feasible=len(distinct),
-        candidates=tuple(candidates),
+        candidates=candidates,
         simplification=log,
         diagnostic=None,
         timing_seconds=time.perf_counter() - t0,

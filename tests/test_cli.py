@@ -90,6 +90,23 @@ class TestSolveCommand:
         assert doc["status"] == "infeasible"
         assert doc["diagnostic"]["reason"] == "infeasible_row"
 
+    @pytest.mark.parametrize("flags", [[], ["--no-simplify"]])
+    def test_no_corner_under_x_max(self, tmp_path, capsys, flags):
+        """Large p: x_max passes the membership check, yet no corner fits under it."""
+        rc = main(["generate", "--rows", "3", "--cols", "4", "--w", "0.5", "--p", "10"])
+        assert rc == EXIT_OK
+        path = tmp_path / "large_p.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["solve", str(path), *flags]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "infeasible"
+        assert doc["feasible"] is False
+        assert doc["x_star"] is None
+        assert doc["candidates"] is None
+        assert doc["diagnostic"] == {"reason": "no_corner_under_x_max", "rows": [1]}
+
 
 class TestBudget:
     def test_default_limit_exceeded(self, tmp_path, capsys):

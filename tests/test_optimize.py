@@ -5,10 +5,11 @@ import pytest
 from conftest import GOLDEN, structure_instance
 
 from wpmfre import (
+    CLASSIFY_TOL,
     STATUS_BUDGET_EXCEEDED,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    CandidateMinimal,
+    Candidates,
     CostSplit,
     InfeasibleProblemError,
     Problem,
@@ -19,6 +20,8 @@ from wpmfre import (
     classify_all,
     enumerate_candidates,
     feasible_candidates,
+    generate_instance,
+    max_solution,
     solve,
     solve_z2,
     wpm,
@@ -43,6 +46,14 @@ def small_instances(count, start=0, cap=256):
         if choice_space_size(classify_all(prob)) <= cap:
             out.append(prob)
     return out
+
+
+def candidate_arrays(choices, points, feasible):
+    return Candidates(
+        choices=np.array(choices, dtype=np.intp),
+        points=np.array(points, dtype=float),
+        feasible=np.array(feasible, dtype=bool),
+    )
 
 
 def conflicting_rows_problem():
@@ -81,21 +92,30 @@ class TestSolveZ2:
         assert choice == (1, 0, 4, 2, 3)
 
     def test_no_feasible_candidates_rejected(self):
+        empty = candidate_arrays(np.empty((0, 1)), np.empty((0, 2)), [])
         with pytest.raises(InfeasibleProblemError):
-            solve_z2([], np.zeros(2))
-        shut_out = CandidateMinimal(
-            choice=(0,), point=np.array([0.4, 0.0]), feasible=False
-        )
+            solve_z2(empty, np.zeros(2))
+        shut_out = candidate_arrays([(0,)], [[0.4, 0.0]], [False])
         with pytest.raises(InfeasibleProblemError):
-            solve_z2([shut_out], np.zeros(2))
+            solve_z2(shut_out, np.zeros(2))
 
     def test_single_candidate_wins(self):
-        only = CandidateMinimal(
-            choice=(1,), point=np.array([0.0, 0.6]), feasible=True
-        )
-        choice, point = solve_z2([only], np.array([5.0, 5.0]))
+        only = candidate_arrays([(1,)], [[0.0, 0.6]], [True])
+        choice, point = solve_z2(only, np.array([5.0, 5.0]))
         assert choice == (1,)
-        assert np.array_equal(point, only.point)
+        assert np.array_equal(point, only[0].point)
+
+    def test_first_of_equal_costs_wins(self):
+        cands = candidate_arrays(
+            [(0, 1), (1, 0), (1, 1), (0, 0)],
+            [[0.1, 0.3], [0.3, 0.1], [0.0, 0.2], [0.2, 0.2]],
+            [True, True, False, True],
+        )
+        choice, point = solve_z2(cands, np.array([1.0, 1.0]))
+        assert choice == (0, 1)
+        assert np.array_equal(point, [0.1, 0.3])
+        choice, _ = solve_z2(cands, np.array([0.0, 1.0]))
+        assert choice == (1, 0)
 
 
 class TestAssembleOptimum:
@@ -172,6 +192,26 @@ class TestSolveDegenerate:
         assert report.diagnostic["reason"] == "maximum_point_not_solution"
         assert len(report.diagnostic["residuals"]) == 2
         assert report.diagnostic["worst_row"] in (0, 1)
+
+    @pytest.mark.parametrize("simplify", [True, False])
+    def test_no_corner_under_x_max_report(self, simplify):
+        prob = generate_instance(3, 4, WpmParams(0.5, 10.0), 0)
+        report = solve(prob, simplify=simplify)
+        assert report.status == STATUS_INFEASIBLE
+        assert not report.feasible
+        assert report.x_star is None
+        assert report.z_star is None
+        assert report.candidates is None
+        assert report.diagnostic == {"reason": "no_corner_under_x_max", "rows": [1]}
+        assert (report.simplification is not None) == simplify
+        # x_max passes membership, so the verdict comes after enumeration
+        assert check_membership(prob, report.x_max)[0]
+        cls = classify_all(prob)
+        ms = max_solution(prob, cls)
+        for i in range(prob.m):
+            active = list(cls[i].active)
+            fits = ms.per_row[i, active] <= ms.overall[active] + CLASSIFY_TOL
+            assert fits.any() == (i not in report.diagnostic["rows"])
 
     def test_budget_exceeded_report(self, golden_problem):
         report = solve(golden_problem, simplify=False, limit=5)
