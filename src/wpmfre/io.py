@@ -188,12 +188,14 @@ _ITEM_CLOSE = '\n      ],\n      "feasible": %s\n    }'
 _NUMBER_SEP = ",\n        "
 
 
-def _candidates_dumps(candidates: Candidates) -> list[str]:
-    """Pieces of the report's ``candidates`` array, laid out as ``json.dumps``.
+def _candidates_dumps(candidates: Candidates | None) -> list[str]:
+    """Pieces of the report's ``candidates`` value, laid out as ``json.dumps``.
 
     Each distinct point is written once, with ``float.__repr__`` as in
     ``json``, and its text is shared by every selector that reaches it.
     """
+    if candidates is None:
+        return ["null"]
     if len(candidates) == 0:
         return ["[]"]
     _, first, corner = np.unique(
@@ -223,8 +225,6 @@ def report_dumps(report: SolveReport) -> str:
     The candidate list is written from the report's arrays and the rest
     of the document by ``json.dumps``; the text is the same byte for byte.
     """
-    if report.candidates is None:
-        return json.dumps(report_to_dict(report), indent=2)
     doc = report_to_dict(dataclasses.replace(report, candidates=None))
     doc["candidates"] = _CANDIDATES_SLOT
     head, tail = json.dumps(doc, indent=2).split(json.dumps(_CANDIDATES_SLOT))

@@ -49,7 +49,6 @@ __all__ = [
     "choice_space_size",
     "enumerate_candidates",
     "feasible_candidates",
-    "stranded_rows",
 ]
 
 #: Default ceiling on the number of selector vectors enumerated.
@@ -87,12 +86,15 @@ class Candidates:
     ``(N, n)`` with that selector's lower corner, and ``feasible`` is
     ``(N,)``.  The arrays are made read-only on construction.  ``len()``,
     indexing and iteration see the rows as :class:`CandidateMinimal`
-    whose ``point`` is a read-only view.
+    whose ``point`` is a read-only view.  ``stranded`` lists the rows
+    with no active column whose level fits under ``x_max``; when it is
+    nonempty, no candidate is feasible.
     """
 
     choices: np.ndarray
     points: np.ndarray
     feasible: np.ndarray
+    stranded: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for arr in (self.choices, self.points, self.feasible):
@@ -177,10 +179,14 @@ def enumerate_candidates(
 
     The selector space size is checked against ``limit`` before any
     expansion; a breach raises :class:`EnumerationBudgetError` carrying
-    the exact required count.  Every row must be feasible.  The grid of
-    selectors is built with one broadcast pass per row: row ``i`` writes
-    its active columns into axis ``i`` of the selectors and maxes its
-    levels into the corners.
+    the exact required count.  Every row must be feasible.  The flat
+    selector grid is built with one pass per row: row ``i`` picks its
+    active column ``(k // stride_i) % |active(i)|`` for selector ``k``,
+    where ``stride_i`` is the product of the later rows' counts, and
+    maxes that column's level into the corner.  Every array keeps two
+    axes however many rows there are.  A corner fits under
+    ``x_max`` iff every level it picked does; rows where no level fits
+    are recorded in ``stranded``.
     """
     for cls in classifications:
         if not row_feasible(cls):
@@ -189,43 +195,29 @@ def enumerate_candidates(
     if required > limit:
         raise EnumerationBudgetError(required=required, limit=limit)
     ms = max_solution(problem, classifications)
-    m, n = problem.m, problem.n
-    sizes = tuple(len(cls.active) for cls in classifications)
-    choices = np.empty(sizes + (m,), dtype=np.intp)
-    points = np.zeros(sizes + (n,))
-    for i, cls in enumerate(classifications):
-        cols = np.array(cls.active, dtype=np.intp)
-        axis = [1] * m
-        axis[i] = sizes[i]
-        choices[..., i] = cols.reshape(axis)
-        # row i's row-minimal points, one per active column
-        level = np.zeros((sizes[i], n))
-        level[np.arange(sizes[i]), cols] = ms.per_row[i, cols]
-        np.maximum(points, level.reshape(axis + [n]), out=points)
-    points = points.reshape(required, n)
-    return Candidates(
-        choices=choices.reshape(required, m),
-        points=points,
-        feasible=np.all(points <= ms.overall + CLASSIFY_TOL, axis=1),
-    )
-
-
-def stranded_rows(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> list[int]:
-    """Rows with no active column whose level fits under ``x_max``.
-
-    Exactly when this list is nonempty, :func:`enumerate_candidates`
-    marks every candidate infeasible: a selector picking a fitting column
-    in every row would give a corner under ``x_max``.
-    """
-    ms = max_solution(problem, classifications)
+    choices = np.empty((required, problem.m), dtype=np.intp)
+    points = np.zeros((required, problem.n))
+    feasible = np.ones(required, dtype=bool)
     stranded = []
+    stride = required
     for i, cls in enumerate(classifications):
         cols = list(cls.active)
-        if not np.any(ms.per_row[i, cols] <= ms.overall[cols] + CLASSIFY_TOL):
+        stride //= len(cols)
+        # selector k picks cols[(k // stride) % len(cols)]: split its axis
+        # into (blocks, position in cols, stride)
+        grid = (required // (len(cols) * stride), len(cols), stride)
+        level = ms.per_row[i, cols]
+        fits = level <= ms.overall[cols] + CLASSIFY_TOL
+        choices[:, i].reshape(grid)[...] = np.reshape(cols, (1, -1, 1))
+        feasible.reshape(grid)[...] &= fits.reshape(1, -1, 1)
+        corners = points.reshape(grid + (problem.n,))
+        for k, j in enumerate(cols):
+            np.maximum(corners[:, k, :, j], level[k], out=corners[:, k, :, j])
+        if not fits.any():
             stranded.append(cls.row)
-    return stranded
+    return Candidates(
+        choices=choices, points=points, feasible=feasible, stranded=tuple(stranded)
+    )
 
 
 def row_keys(points: np.ndarray) -> np.ndarray:
@@ -248,4 +240,5 @@ def feasible_candidates(candidates: Candidates) -> Candidates:
         choices=candidates.choices[keep],
         points=candidates.points[keep],
         feasible=candidates.feasible[keep],
+        stranded=candidates.stranded,
     )

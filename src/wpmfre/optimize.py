@@ -25,7 +25,6 @@ from .lattice import (
     enumerate_candidates,
     feasible_candidates,
     max_solution,
-    stranded_rows,
 )
 from .model import Problem, classify_all, row_feasible
 from .oracle import check_membership
@@ -69,8 +68,10 @@ class SolveReport:
 
     ``status`` is one of "optimal", "infeasible" or "budget_exceeded".
     ``x_star`` and friends are present only for "optimal"; ``feasible``
-    may be True on a budget breach (the feasibility test ran before
-    enumeration blew the limit) while the optimum is still unknown.
+    may be True while the optimum is still unknown: on a budget breach
+    (the feasibility test ran before enumeration blew the limit), and
+    when ``x_max`` passes the membership check but no candidate corner
+    fits under it.
     """
 
     status: str
@@ -147,7 +148,8 @@ def solve(
     Never raises for infeasible or over-budget instances; those outcomes
     are encoded in the report status and diagnostic.  That includes the
     case where ``x_max`` passes the membership check but no candidate
-    corner fits under it (reason ``"no_corner_under_x_max"``).  A
+    corner fits under it: status "infeasible" with ``feasible`` True and
+    reason ``"no_corner_under_x_max"``.  A
     membership check on the assembled optimum runs against the original,
     unsimplified problem and raises :class:`MembershipError` if it ever
     fails.
@@ -205,11 +207,11 @@ def solve(
     if len(distinct) == 0:
         return _unsolved(
             STATUS_INFEASIBLE,
-            False,
+            True,
             t0,
             {
                 "reason": "no_corner_under_x_max",
-                "rows": stranded_rows(working, working_cls),
+                "rows": list(candidates.stranded),
             },
             x_max=x_max,
             simplification=log,

@@ -102,10 +102,15 @@ class TestSolveCommand:
         assert captured.err == ""
         doc = json.loads(captured.out)
         assert doc["status"] == "infeasible"
-        assert doc["feasible"] is False
+        assert doc["feasible"] is True
         assert doc["x_star"] is None
         assert doc["candidates"] is None
         assert doc["diagnostic"] == {"reason": "no_corner_under_x_max", "rows": [1]}
+        # the feasibility command certifies the same x_max
+        assert main(["feasibility", str(path)]) == EXIT_OK
+        feas = json.loads(capsys.readouterr().out)
+        assert feas["feasible"] is True
+        assert feas["x_max"] == doc["x_max"]
 
 
 class TestBudget:

@@ -22,7 +22,9 @@ from wpmfre import (
     Problem,
     WpmParams,
     classify_all,
+    check_membership,
     enumerate_candidates,
+    exhaustive_candidates,
     feasible_candidates,
     generate_instance,
     load_problem,
@@ -37,6 +39,18 @@ DEGENERATE_SHAPES = [(3, 4), (4, 5)]
 def degenerate(m, n, negative, t=0.6):
     c = np.linspace(-1.0, 1.0, n) if negative else np.linspace(0.5, 2.0, n)
     return Problem(np.full((m, n), t), np.full(m, t), c, WpmParams(0.75, 3.0))
+
+
+def many_rows(m, wide, t=0.9):
+    """``m`` rows over three columns; the first ``wide`` rows are ``A == b == t``.
+
+    The other rows have 0.1 in columns 1 and 2, which cannot reach ``t``
+    even at 1, so only column 0 is active there: the selector count is
+    ``3**wide`` however large ``m`` is.
+    """
+    A = np.full((m, 3), t)
+    A[wide:, 1:] = 0.1
+    return Problem(A, np.full(m, t), np.array([1.0, -0.5, 2.0]), WpmParams(0.75, 3.0))
 
 
 def generated(seed):
@@ -66,6 +80,13 @@ CASES = {
     "infeasible-blocking-row": lambda: solve(
         Problem(np.array([[1.0], [0.5]]), np.array([0.5, 0.5]), np.zeros(1), WpmParams(0.75, 3.0))
     ),
+    **{
+        f"many-rows-{m}x3-{'simplify' if simp else 'no-simplify'}": (
+            lambda m=m, simp=simp: solve(many_rows(m, 5), simplify=simp)
+        )
+        for m in (40, 70)
+        for simp in (True, False)
+    },
     "budget-exceeded": lambda: solve(load_problem(str(GOLDEN_PATH)), simplify=False, limit=5),
 }
 
@@ -100,3 +121,41 @@ def test_degenerate_closed_forms(m, n, negative):
     report = solve(prob)
     assert report.candidates_total == n**m
     assert report.candidates_feasible == len(distinct)
+
+
+@pytest.mark.parametrize("m", [40, 70])
+@pytest.mark.parametrize("simplify", [True, False])
+def test_one_column_degenerate_many_rows(m, simplify):
+    """``A == b == t`` with one column: one selector, corner and optimum at ``t``."""
+    t = 0.6
+    prob = Problem(np.full((m, 1), t), np.full(m, t), np.array([2.0]), WpmParams(0.75, 3.0))
+    candidates = enumerate_candidates(prob, classify_all(prob))
+    assert len(candidates) == 1
+    assert candidates[0].choice == (0,) * m
+    assert candidates[0].point.tolist() == [t]
+    report = solve(prob, simplify=simplify)
+    assert report.status == STATUS_OPTIMAL
+    assert report.x_star.tolist() == [t]
+    assert report.z_star == 2.0 * t
+    assert report.candidates_total == report.candidates_feasible == 1
+    assert report_dumps(report) == json.dumps(report_to_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("m", [40, 70])
+def test_many_rows_match_oracle(m):
+    """More rows than numpy has array dimensions, against the scalar oracle."""
+    prob = many_rows(m, 5)
+    fast = enumerate_candidates(prob, classify_all(prob))
+    slow = exhaustive_candidates(prob)
+    assert len(fast) == len(slow) == 3**5
+    for f, s in zip(fast, slow):
+        assert f.choice == s.choice
+        assert f.point == pytest.approx(s.point, abs=1e-10)
+        assert f.feasible == s.feasible
+    assert all(f.choice[5:] == (0,) * (m - 5) for f in fast)
+    distinct = feasible_candidates(fast)
+    # the narrow rows always pick column 0, so a corner is {0} plus any subset of {1, 2}
+    assert len(distinct) == 4
+    report = solve(prob, simplify=False)
+    assert report.status == STATUS_OPTIMAL
+    assert check_membership(prob, report.x_star)[0]
