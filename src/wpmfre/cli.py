@@ -9,6 +9,7 @@ budget; an explicit --limit flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,9 +32,9 @@ from .io import (
     problem_dumps,
     report_dumps,
 )
-from .lattice import DEFAULT_CHOICE_LIMIT, max_solution
-from .model import classify_all, row_feasible
-from .optimize import STATUS_BUDGET_EXCEEDED, STATUS_OPTIMAL, solve
+from .lattice import DEFAULT_CHOICE_LIMIT
+from .model import classify_all
+from .optimize import STATUS_BUDGET_EXCEEDED, STATUS_OPTIMAL, decide_feasibility, solve
 from .oracle import check_membership
 from .simplify import simplify_pipeline
 from .wpm import FEASIBILITY_TOL, WpmParams
@@ -54,7 +55,9 @@ _INPUT_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="wpmfre",
         description="Linear optimization over max-weighted-power-mean "
@@ -126,42 +129,31 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    problem = load_problem(args.problem)
-    classifications = classify_all(problem)
-    for cls in classifications:
-        if not row_feasible(cls):
-            offending = [[cls.row, j] for j in cls.blocking]
-            print(
-                json.dumps(
-                    {
-                        "feasible": False,
-                        "row": cls.row,
-                        "blocking_entries": offending,
-                        "active_columns": list(cls.active),
-                    },
-                    indent=2,
-                )
-            )
-            return EXIT_INFEASIBLE
-    x_max = max_solution(problem, classifications).overall
-    member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
-    print(
-        json.dumps(
-            {
-                "feasible": member,
-                "x_max": x_max.tolist(),
-                "residuals": residuals.tolist(),
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if member else EXIT_INFEASIBLE
+    _, x_max, residuals, diagnostic = decide_feasibility(load_problem(args.problem))
+    if x_max is None:
+        row = diagnostic["row"]
+        doc = {
+            "feasible": False,
+            "row": row,
+            "blocking_entries": [[row, j] for j in diagnostic["blocking_columns"]],
+            "active_columns": diagnostic["active_columns"],
+        }
+    else:
+        doc = {
+            "feasible": diagnostic is None,
+            "x_max": x_max.tolist(),
+            "residuals": residuals.tolist(),
+        }
+    print(json.dumps(doc, indent=2))
+    return EXIT_OK if diagnostic is None else EXIT_INFEASIBLE
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     try:
-        simplified, log = simplify_pipeline(problem, fixpoint=args.fixpoint)
+        simplified, log, _ = simplify_pipeline(
+            problem, classify_all(problem), fixpoint=args.fixpoint
+        )
     except InfeasibleRowError as exc:
         print(f"cannot simplify: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -176,16 +176,26 @@ def report_to_dict(report: SolveReport) -> dict:
     }
 
 
-#: Stands in for the candidate list while the rest of a report is dumped;
-#: no other field of a report holds a NUL character.
-_CANDIDATES_SLOT = "\0candidates\0"
+#: Stands in for the candidate list and the simplification log while the
+#: rest of a report is dumped; no other field of a report holds a NUL.
+_SLOT = "\0slot\0"
 
 # The layout ``json.dumps(indent=2)`` gives the candidates of a report.
 _ITEM_OPEN = '    {\n      "e": [\n        '
 _ITEM_NEXT = ",\n" + _ITEM_OPEN
 _ITEM_MID = '\n      ],\n      "point": [\n        '
-_ITEM_CLOSE = '\n      ],\n      "feasible": %s\n    }'
+_ITEM_CLOSE = {
+    flag: '\n      ],\n      "feasible": %s\n    }' % json.dumps(flag) + _ITEM_NEXT
+    for flag in (False, True)
+}
 _NUMBER_SEP = ",\n        "
+
+# ... and its simplification log.
+_LOG = '{\n    "entries": %s,\n    "choices_before": %d,\n    "choices_after": %d\n  }'
+_ENTRY = (
+    '      {\n        "rule": "%s",\n        "row": %d,\n        "col": %d,\n'
+    '        "old_value": %s\n      }'
+)
 
 
 def _candidates_dumps(candidates: Candidates | None) -> list[str]:
@@ -205,10 +215,7 @@ def _candidates_dumps(candidates: Candidates | None) -> list[str]:
         _ITEM_MID + _NUMBER_SEP.join(map(float.__repr__, candidates.points[k].tolist()))
         for k in first
     ]
-    tails = {
-        flag: [text + _ITEM_CLOSE % json.dumps(flag) + _ITEM_NEXT for text in points]
-        for flag in (False, True)
-    }
+    tails = {flag: [t + close for t in points] for flag, close in _ITEM_CLOSE.items()}
     cols = [str(j) for j in range(candidates.points.shape[1])]
     pieces = ["[\n" + _ITEM_OPEN]
     for choice, k, flag in zip(
@@ -219,16 +226,31 @@ def _candidates_dumps(candidates: Candidates | None) -> list[str]:
     return pieces
 
 
+def _log_dumps(log: SimplificationLog | None) -> str:
+    """The report's ``simplification`` value, laid out as ``json.dumps``."""
+    if log is None:
+        return "null"
+    entries = ",\n".join(
+        _ENTRY % (e.rule, e.row, e.col, float.__repr__(e.old_value))
+        for e in log.entries
+    )
+    listed = "[\n" + entries + "\n    ]" if entries else "[]"
+    return _LOG % (listed, log.choices_before, log.choices_after)
+
+
 def report_dumps(report: SolveReport) -> str:
     """``json.dumps(report_to_dict(report), indent=2)``, written directly.
 
-    The candidate list is written from the report's arrays and the rest
-    of the document by ``json.dumps``; the text is the same byte for byte.
+    The candidate list and the simplification log are written from the
+    report and the rest of the document by ``json.dumps``; the text is
+    the same byte for byte.
     """
-    doc = report_to_dict(dataclasses.replace(report, candidates=None))
-    doc["candidates"] = _CANDIDATES_SLOT
-    head, tail = json.dumps(doc, indent=2).split(json.dumps(_CANDIDATES_SLOT))
-    return "".join([head, *_candidates_dumps(report.candidates), tail])
+    rest = dataclasses.replace(report, candidates=None, simplification=None)
+    doc = report_to_dict(rest)
+    doc["candidates"] = doc["simplification"] = _SLOT
+    head, middle, tail = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
+    pieces = _candidates_dumps(report.candidates)
+    return "".join([head, *pieces, middle, _log_dumps(report.simplification), tail])
 
 
 def generate_instance(m: int, n: int, params: WpmParams, seed: int) -> Problem:

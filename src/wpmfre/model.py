@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .wpm import CLASSIFY_TOL, FEASIBILITY_TOL, WpmParams, row_composition
+from .wpm import CLASSIFY_TOL, WpmParams
 
 __all__ = [
     "Problem",
@@ -151,22 +151,10 @@ def row_feasible(cls: RowClassification) -> bool:
 def problem_feasible(problem: Problem) -> bool:
     """Whole-system feasibility test.
 
-    Returns False fast if any single row is infeasible.  Otherwise the
-    system is feasible iff its componentwise-largest candidate point (the
-    global maximum solution) actually solves every row within
-    ``FEASIBILITY_TOL``.
+    False if any single row is infeasible.  Otherwise the system is
+    feasible iff its componentwise-largest candidate point (the global
+    maximum solution) actually solves every row within ``FEASIBILITY_TOL``.
     """
-    classifications = classify_all(problem)
-    if not all(row_feasible(cls) for cls in classifications):
-        return False
-    from .lattice import global_max_solution, max_solution_row
+    from .optimize import decide_feasibility
 
-    per_row = np.vstack(
-        [max_solution_row(problem, cls) for cls in classifications]
-    )
-    x_max = global_max_solution(per_row)
-    return all(
-        abs(row_composition(problem.A[i], x_max, problem.params) - problem.b[i])
-        <= FEASIBILITY_TOL
-        for i in range(problem.m)
-    )
+    return decide_feasibility(problem)[-1] is None

@@ -26,7 +26,7 @@ from .lattice import (
     feasible_candidates,
     max_solution,
 )
-from .model import Problem, classify_all, row_feasible
+from .model import Problem, RowClassification, classify_all, row_feasible
 from .oracle import check_membership
 from .simplify import SimplificationLog, simplify_pipeline
 from .wpm import FEASIBILITY_TOL
@@ -34,6 +34,7 @@ from .wpm import FEASIBILITY_TOL
 __all__ = [
     "CostSplit",
     "SolveReport",
+    "decide_feasibility",
     "solve_z2",
     "assemble_optimum",
     "solve",
@@ -86,6 +87,35 @@ class SolveReport:
     simplification: SimplificationLog | None
     diagnostic: dict | None
     timing_seconds: float
+
+
+def decide_feasibility(problem: Problem) -> tuple[
+    tuple[RowClassification, ...], np.ndarray | None, np.ndarray | None, dict | None
+]:
+    """Classify, test every row, build ``x_max`` and check that it is a solution.
+
+    Returns ``(classifications, x_max, residuals, diagnostic)``.  The
+    diagnostic is None when the system is feasible.  Otherwise its
+    ``"reason"`` is ``"infeasible_row"``, with ``x_max`` and ``residuals``
+    None, or ``"maximum_point_not_solution"``.
+    """
+    classifications = classify_all(problem)
+    for cls in classifications:
+        if not row_feasible(cls):
+            return classifications, None, None, {
+                "reason": "infeasible_row",
+                "row": cls.row,
+                "blocking_columns": list(cls.blocking),
+                "active_columns": list(cls.active),
+            }
+    x_max = max_solution(problem, classifications).overall
+    member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
+    diagnostic = None if member else {
+        "reason": "maximum_point_not_solution",
+        "residuals": residuals.tolist(),
+        "worst_row": int(np.argmax(residuals)),
+    }
+    return classifications, x_max, residuals, diagnostic
 
 
 def solve_z2(
@@ -155,41 +185,15 @@ def solve(
     fails.
     """
     t0 = time.perf_counter()
-    classifications = classify_all(problem)
-    for cls in classifications:
-        if not row_feasible(cls):
-            return _unsolved(
-                STATUS_INFEASIBLE,
-                False,
-                t0,
-                {
-                    "reason": "infeasible_row",
-                    "row": cls.row,
-                    "blocking_columns": list(cls.blocking),
-                    "active_columns": list(cls.active),
-                },
-            )
-    x_max = max_solution(problem, classifications).overall
-    member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
-    if not member:
-        return _unsolved(
-            STATUS_INFEASIBLE,
-            False,
-            t0,
-            {
-                "reason": "maximum_point_not_solution",
-                "residuals": residuals.tolist(),
-                "worst_row": int(np.argmax(residuals)),
-            },
-            x_max=x_max,
-        )
+    classifications, x_max, _, diagnostic = decide_feasibility(problem)
+    if diagnostic is not None:
+        return _unsolved(STATUS_INFEASIBLE, False, t0, diagnostic, x_max=x_max)
     working = problem
     log: SimplificationLog | None = None
     if simplify:
-        working, log = simplify_pipeline(problem)
-    working_cls = classify_all(working)
+        working, log, classifications = simplify_pipeline(problem, classifications)
     try:
-        candidates = enumerate_candidates(working, working_cls, limit=limit)
+        candidates = enumerate_candidates(working, classifications, limit=limit)
     except EnumerationBudgetError as exc:
         return _unsolved(
             STATUS_BUDGET_EXCEEDED,

@@ -5,10 +5,12 @@ entry is decided by evaluating the operator at the endpoints ``x = 0`` and
 ``x = 1`` instead of comparing against closed-form thresholds, single-entry
 equations are solved by bisection instead of the closed-form inverse, and
 the feasible set is sampled on a full grid.  The only shared code is the
-operator itself, which is the definition rather than an algorithm.  This
-module is the ground truth for the differential tests; it is deliberately
-slow and must never call into the classification or lattice algorithms it
-is checking.
+operator itself, which is the definition rather than an algorithm.  The
+membership check evaluates every entry in one broadcast call of that
+operator; bisection, the endpoint classification and the grid stay
+deliberately slow.  This module is the ground truth for the differential
+tests and must never call into the classification or lattice algorithms
+it is checking.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ def check_membership(
 ) -> tuple[bool, np.ndarray]:
     """Does ``x`` solve every row within ``tol``?  Returns (verdict, residuals).
 
-    The residual of row ``i`` is ``|max_j wpm(A[i,j], x[j]) - b[i]|``,
-    evaluated entry by entry.
+    The residual of row ``i`` is ``|max_j wpm(A[i,j], x[j]) - b[i]|``;
+    every entry is evaluated in one broadcast call of the operator.
     """
     x_arr = np.asarray(x, dtype=float)
     if x_arr.shape != (problem.n,):
@@ -78,13 +80,8 @@ def check_membership(
         )
     if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
         raise DomainError(f"point must lie in the unit box, got {x_arr!r}")
-    residuals = np.empty(problem.m)
-    for i in range(problem.m):
-        value = max(
-            wpm(float(problem.A[i, j]), float(x_arr[j]), problem.params)
-            for j in range(problem.n)
-        )
-        residuals[i] = abs(value - float(problem.b[i]))
+    values = np.max(wpm(problem.A, x_arr[None, :], problem.params), axis=1)
+    residuals = np.abs(values - problem.b)
     return bool(np.all(residuals <= tol)), residuals
 
 

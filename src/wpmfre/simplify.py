@@ -56,42 +56,9 @@ class SimplificationLog:
     choices_after: int
 
 
-def _require_all_rows_feasible(
-    classifications: tuple[RowClassification, ...],
-) -> None:
-    for cls in classifications:
-        if not row_feasible(cls):
-            raise InfeasibleRowError(cls.row)
-
-
-def simplify_first(
+def _dominated_cells(
     problem: Problem, classifications: tuple[RowClassification, ...]
-) -> tuple[Problem, SimplificationLog]:
-    """Zero every inert entry.  Logs only cells that actually change."""
-    _require_all_rows_feasible(classifications)
-    A = problem.A.copy()
-    entries = []
-    for cls in classifications:
-        for j in cls.inert:
-            if A[cls.row, j] != 0.0:
-                entries.append(
-                    SimplificationEntry("first", cls.row, j, float(A[cls.row, j]))
-                )
-                A[cls.row, j] = 0.0
-    simplified = problem.with_matrix(A)
-    log = SimplificationLog(
-        entries=tuple(entries),
-        choices_before=choice_space_size(classifications),
-        choices_after=choice_space_size(classify_all(simplified)),
-    )
-    return simplified, log
-
-
-def simplify_second(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> tuple[Problem, SimplificationLog]:
-    """Zero dominated active entries, batch-evaluated on the given matrix."""
-    _require_all_rows_feasible(classifications)
+) -> list[tuple[int, int]]:
     A = problem.A
     w, p = problem.params.w, problem.params.p
     b_pow = problem.b**p
@@ -105,43 +72,72 @@ def simplify_second(
                 if b_pow[i] - b_pow[k] < w * (A[i, j0] ** p - A[k, j0] ** p) - CLASSIFY_TOL:
                     doomed.append((k, j0))
                     break
-    new_A = A.copy()
+    return doomed
+
+
+def _apply(
+    rule: str, problem: Problem, classifications: tuple[RowClassification, ...]
+) -> tuple[Problem, SimplificationLog, tuple[RowClassification, ...]]:
+    """Zero the inert ("first") or dominated ("second") cells; classify the result."""
+    for cls in classifications:
+        if not row_feasible(cls):
+            raise InfeasibleRowError(cls.row)
+    if rule == "first":
+        cells = [(cls.row, j) for cls in classifications for j in cls.inert]
+    else:
+        cells = _dominated_cells(problem, classifications)
+    A = problem.A.copy()
     entries = []
-    for k, j0 in doomed:
-        if new_A[k, j0] != 0.0:
-            entries.append(SimplificationEntry("second", k, j0, float(new_A[k, j0])))
-            new_A[k, j0] = 0.0
-    simplified = problem.with_matrix(new_A)
+    for i, j in cells:
+        if A[i, j] != 0.0:
+            entries.append(SimplificationEntry(rule, i, j, float(A[i, j])))
+            A[i, j] = 0.0
+    simplified = problem.with_matrix(A)
+    after = classify_all(simplified)
     log = SimplificationLog(
         entries=tuple(entries),
         choices_before=choice_space_size(classifications),
-        choices_after=choice_space_size(classify_all(simplified)),
+        choices_after=choice_space_size(after),
     )
-    return simplified, log
+    return simplified, log, after
+
+
+def simplify_first(
+    problem: Problem, classifications: tuple[RowClassification, ...]
+) -> tuple[Problem, SimplificationLog]:
+    """Zero every inert entry.  Logs only cells that actually change."""
+    return _apply("first", problem, classifications)[:2]
+
+
+def simplify_second(
+    problem: Problem, classifications: tuple[RowClassification, ...]
+) -> tuple[Problem, SimplificationLog]:
+    """Zero dominated active entries, batch-evaluated on the given matrix."""
+    return _apply("second", problem, classifications)[:2]
 
 
 def simplify_pipeline(
-    problem: Problem, fixpoint: bool = False
-) -> tuple[Problem, SimplificationLog]:
+    problem: Problem,
+    classifications: tuple[RowClassification, ...],
+    fixpoint: bool = False,
+) -> tuple[Problem, SimplificationLog, tuple[RowClassification, ...]]:
     """Apply the first then the second rule, once each by default.
 
-    With ``fixpoint=True`` the pair is repeated until a full pass changes
-    nothing.  The merged log reports the selector-space size before any
-    rewriting and after the last one.
+    ``classifications`` is ``classify_all(problem)``.  With
+    ``fixpoint=True`` the pair is repeated until a full pass changes
+    nothing.  Returns the simplified problem, the merged log, which
+    reports the selector-space size before any rewriting and after the
+    last one, and the classification of the simplified problem.
     """
-    classifications = classify_all(problem)
-    _require_all_rows_feasible(classifications)
     before = choice_space_size(classifications)
     entries: list[SimplificationEntry] = []
     current = problem
     while True:
-        current, log1 = simplify_first(current, classify_all(current))
+        current, log1, classifications = _apply("first", current, classifications)
         entries.extend(log1.entries)
-        current, log2 = simplify_second(current, classify_all(current))
+        current, log2, classifications = _apply("second", current, classifications)
         entries.extend(log2.entries)
         if not fixpoint or (not log1.entries and not log2.entries):
             break
-    after = choice_space_size(classify_all(current))
-    return current, SimplificationLog(
-        entries=tuple(entries), choices_before=before, choices_after=after
-    )
+    log = SimplificationLog(tuple(entries), before, log2.choices_after)
+    return current, log, classifications

@@ -104,7 +104,7 @@ class TestAcceptance:
         assert ok
 
     def test_criterion_3_golden_simplification(self, golden_problem):
-        simplified, log = simplify_pipeline(golden_problem)
+        simplified, log, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
         zeroed = {
             (i, j)
             for i in range(golden_problem.m)
@@ -187,7 +187,7 @@ class TestAcceptance:
                 if not check_membership(prob, point, tol=1e-6)[0]:
                     bad_member.append(seed)
                     break
-            simplified, _ = simplify_pipeline(prob)
+            simplified, _, _ = simplify_pipeline(prob, classify_all(prob))
             after = feasible_candidates(
                 enumerate_candidates(simplified, classify_all(simplified))
             )

@@ -1,9 +1,13 @@
 """Cost splitting, candidate scan, and end-to-end solver tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from conftest import GOLDEN, structure_instance
+from conftest import GOLDEN, GOLDEN_PATH, structure_instance
 
+import wpmfre.optimize
+import wpmfre.simplify
 from wpmfre import (
     CLASSIFY_TOL,
     STATUS_BUDGET_EXCEEDED,
@@ -21,11 +25,13 @@ from wpmfre import (
     enumerate_candidates,
     feasible_candidates,
     generate_instance,
+    load_problem,
     max_solution,
     solve,
     solve_z2,
     wpm,
 )
+from wpmfre.optimize import decide_feasibility
 
 P = WpmParams(0.75, 3.0)
 
@@ -238,6 +244,59 @@ class TestSolveDegenerate:
         assert report.status == STATUS_BUDGET_EXCEEDED
         assert report.diagnostic["required"] == 2
         assert report.simplification is not None
+
+
+class TestDecideFeasibility:
+    def test_golden_feasible(self, golden_problem):
+        cls, x_max, residuals, diagnostic = decide_feasibility(golden_problem)
+        assert diagnostic is None
+        assert cls == classify_all(golden_problem)
+        assert np.array_equal(x_max, max_solution(golden_problem, cls).overall)
+        assert np.array_equal(residuals, check_membership(golden_problem, x_max)[1])
+
+    @pytest.mark.parametrize(
+        "make", [lambda: tiny([[1.0], [0.5]], [0.5, 0.5]), conflicting_rows_problem]
+    )
+    def test_infeasible_verdicts_match_solve(self, make):
+        prob = make()
+        _, x_max, residuals, diagnostic = decide_feasibility(prob)
+        report = solve(prob)
+        assert diagnostic == report.diagnostic
+        assert (x_max is None) == (residuals is None) == (report.x_max is None)
+
+
+class TestWorkCount:
+    """``solve`` classifies and checks membership a fixed number of times."""
+
+    @pytest.mark.parametrize("simplify, classify_calls", [(True, 3), (False, 1)])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_problem(str(GOLDEN_PATH)), lambda: generate_instance(12, 12, P, 0)],
+        ids=["golden", "generated-12x12"],
+    )
+    def test_calls_per_solve(self, monkeypatch, make, simplify, classify_calls):
+        prob = make()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (wpmfre.optimize, wpmfre.simplify):
+            monkeypatch.setattr(
+                module, "classify_all", counted("classify_all", module.classify_all)
+            )
+        monkeypatch.setattr(
+            wpmfre.optimize,
+            "check_membership",
+            counted("check_membership", wpmfre.optimize.check_membership),
+        )
+        report = solve(prob, simplify=simplify)
+        assert report.status == STATUS_OPTIMAL
+        assert calls == {"classify_all": classify_calls, "check_membership": 2}
 
 
 class TestSolveRandom:

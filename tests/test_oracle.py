@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import GOLDEN, structure_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpmfre import (
     DimensionError,
@@ -68,6 +70,47 @@ class TestCheckMembership:
         member, residuals = check_membership(prob, np.array([0.3]), tol=0.1)
         assert member
         assert residuals[0] == pytest.approx(0.4 - wpm(0.4, 0.3, P), abs=1e-12)
+
+
+#: A coordinate anywhere in the unit box, with the endpoints drawn often.
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def membership_cases(draw):
+    """A problem of shape 1x1, 1xn or mx1, a point, and a tolerance."""
+    size = st.integers(1, 6)
+    m, n = draw(st.one_of(st.tuples(st.just(1), size), st.tuples(size, st.just(1))))
+    w = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    p = draw(st.floats(0.02, 200.0))
+    A = np.array(draw(st.lists(UNIT, min_size=m * n, max_size=m * n))).reshape(m, n)
+    b = np.array(draw(st.lists(UNIT, min_size=m, max_size=m)))
+    x = np.array(draw(st.lists(UNIT, min_size=n, max_size=n)))
+    tol = draw(st.sampled_from([1e-6, 0.1, 0.5]))
+    return Problem(A, b, np.zeros(n), WpmParams(w, p)), x, tol
+
+
+class TestBroadcastMembership:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(membership_cases())
+    def test_matches_entrywise_scalar_evaluation(self, case):
+        prob, x, tol = case
+        residuals = np.array(
+            [
+                abs(
+                    max(
+                        wpm(float(prob.A[i, j]), float(x[j]), prob.params)
+                        for j in range(prob.n)
+                    )
+                    - float(prob.b[i])
+                )
+                for i in range(prob.m)
+            ]
+        )
+        member, got = check_membership(prob, x, tol)
+        assert got.shape == (prob.m,)
+        assert np.max(np.abs(got - residuals)) <= 1e-15
+        assert member == bool(np.all(residuals <= tol))
 
 
 class TestGridSpec:

@@ -1,6 +1,7 @@
 """The direct report writer against ``json.dumps``, and degenerate closed forms.
 
-``report_dumps`` writes the candidate list from the report's arrays;
+``report_dumps`` writes the candidate list from the report's arrays and
+the simplification log from its entries;
 ``json.dumps(report_to_dict(report), indent=2)`` is the reference it must
 match byte for byte.  On ``A == b == t`` every entry is active with level
 ``t``, so a selector's corner is ``t`` on the columns it picks: the counts
@@ -88,6 +89,12 @@ CASES = {
         for simp in (True, False)
     },
     "budget-exceeded": lambda: solve(load_problem(str(GOLDEN_PATH)), simplify=False, limit=5),
+    "log-128-entries": lambda: solve(generate_instance(12, 12, WpmParams(0.75, 3.0), 0)),
+    "log-233-entries": lambda: solve(generate_instance(16, 16, WpmParams(0.75, 3.0), 1)),
+    "log-empty": lambda: solve(degenerate(3, 4, False)),
+    "log-none": lambda: solve(
+        generate_instance(12, 12, WpmParams(0.75, 3.0), 0), simplify=False
+    ),
 }
 
 
@@ -103,6 +110,15 @@ def test_cases_cover_every_status():
     assert all(
         CASES[f"generated-{seed}-simplify"]().status == STATUS_OPTIMAL for seed in range(20)
     )
+
+
+def test_cases_cover_log_sizes():
+    """The writer cases include long, empty and absent simplification logs."""
+    logs = {case: CASES[case]().simplification for case in CASES if case.startswith("log-")}
+    assert len(logs["log-128-entries"].entries) == 128
+    assert len(logs["log-233-entries"].entries) == 233
+    assert logs["log-empty"].entries == ()
+    assert logs["log-none"] is None
 
 
 @pytest.mark.parametrize("m, n", DEGENERATE_SHAPES)

@@ -112,7 +112,7 @@ class TestSecondRule:
 
 class TestPipeline:
     def test_golden_counts_and_entries(self, golden_problem):
-        _, log = simplify_pipeline(golden_problem)
+        _, log, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
         assert log.choices_before == GOLDEN["choices_before"]
         assert log.choices_after == GOLDEN["choices_after"]
         first = [e for e in log.entries if e.rule == "first"]
@@ -123,41 +123,48 @@ class TestPipeline:
             assert e.old_value == golden_problem.A[e.row, e.col]
 
     def test_golden_maximum_preserved(self, golden_problem):
-        simplified, _ = simplify_pipeline(golden_problem)
+        simplified, _, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
         before = max_solution(golden_problem, classify_all(golden_problem)).overall
         after = max_solution(simplified, classify_all(simplified)).overall
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_golden_idempotent(self, golden_problem):
-        simplified, _ = simplify_pipeline(golden_problem)
-        again, log = simplify_pipeline(simplified)
+        simplified, _, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
+        again, log, _ = simplify_pipeline(simplified, classify_all(simplified))
         assert log.entries == ()
         assert log.choices_before == log.choices_after == GOLDEN["choices_after"]
         assert np.array_equal(again.A, simplified.A)
 
     def test_golden_fixpoint_matches_single_pass(self, golden_problem):
-        once, log_once = simplify_pipeline(golden_problem)
-        fixed, log_fixed = simplify_pipeline(golden_problem, fixpoint=True)
+        cls = classify_all(golden_problem)
+        once, log_once, _ = simplify_pipeline(golden_problem, cls)
+        fixed, log_fixed, _ = simplify_pipeline(golden_problem, cls, fixpoint=True)
         assert np.array_equal(once.A, fixed.A)
         assert log_fixed.entries == log_once.entries
         assert log_fixed.choices_after == log_once.choices_after
 
+    @pytest.mark.parametrize("fixpoint", [False, True])
+    def test_returns_classification_of_result(self, golden_problem, fixpoint):
+        cls = classify_all(golden_problem)
+        simplified, _, after = simplify_pipeline(golden_problem, cls, fixpoint=fixpoint)
+        assert after == classify_all(simplified)
+
     def test_single_row_uses_only_first_rule(self):
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
-        _, log = simplify_pipeline(prob)
+        _, log, _ = simplify_pipeline(prob, classify_all(prob))
         assert all(e.rule == "first" for e in log.entries)
         assert {(e.row, e.col) for e in log.entries} == {(0, 2)}
 
     def test_infeasible_row_rejected(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
         with pytest.raises(InfeasibleRowError):
-            simplify_pipeline(prob)
+            simplify_pipeline(prob, classify_all(prob))
 
 
 class TestPreservation:
     def test_distinct_feasible_points_preserved(self):
         for prob in small_instances(30, start=2000):
-            simplified, _ = simplify_pipeline(prob)
+            simplified, _, _ = simplify_pipeline(prob, classify_all(prob))
             before = np.array(distinct_feasible_points(prob))
             after = np.array(distinct_feasible_points(simplified))
             assert before.shape == after.shape
@@ -166,7 +173,7 @@ class TestPreservation:
     def test_cell_samples_solve_both_forms(self):
         rng = np.random.default_rng(77)
         for prob in small_instances(12, start=2600):
-            simplified, _ = simplify_pipeline(prob)
+            simplified, _, _ = simplify_pipeline(prob, classify_all(prob))
             for source, target in ((prob, simplified), (simplified, prob)):
                 cls = classify_all(source)
                 x_max = max_solution(source, cls).overall
@@ -179,7 +186,7 @@ class TestPreservation:
 
     def test_monotone_shrinkage(self):
         for prob in small_instances(40, start=3200):
-            simplified, log = simplify_pipeline(prob)
+            simplified, log, _ = simplify_pipeline(prob, classify_all(prob))
             before = classify_all(prob)
             after = classify_all(simplified)
             for cls_b, cls_a in zip(before, after):
