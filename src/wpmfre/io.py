@@ -18,7 +18,7 @@ from .lattice import CandidateMinimal, Candidates, row_keys
 from .model import Problem
 from .optimize import SolveReport
 from .simplify import SimplificationLog
-from .wpm import WpmParams, row_composition
+from .wpm import WpmParams, wpm
 
 __all__ = [
     "parse_problem",
@@ -268,5 +268,5 @@ def generate_instance(m: int, n: int, params: WpmParams, seed: int) -> Problem:
     A = rng.uniform(size=(m, n))
     hidden = rng.uniform(size=n)
     c = rng.uniform(-10.0, 10.0, size=n)
-    b = np.array([row_composition(A[i], hidden, params) for i in range(m)])
+    b = np.max(wpm(A, hidden[None, :], params), axis=1)
     return Problem(A, b, c, params)

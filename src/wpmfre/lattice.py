@@ -4,9 +4,10 @@ The solution set of a feasible system is a finite union of boxes (cells)
 that share one global upper corner:
 
   * Each feasible row ``i`` has a row-maximum solution: the inverse value
-    at every active column, 1 at every inert column.  The componentwise
-    minimum of the row maxima is the global maximum solution ``x_max``;
-    the system is feasible iff ``x_max`` solves it.
+    at every active column (all from one array pass, ``inverse_levels``),
+    1 at every inert column.  The componentwise minimum of the row maxima
+    is the global maximum solution ``x_max``; the system is feasible iff
+    ``x_max`` solves it.
   * Each active column ``j`` of row ``i`` yields a row-minimal point:
     the inverse value at position ``j`` and 0 elsewhere.
   * A selector assigns one active column to every row.  Its candidate
@@ -34,8 +35,8 @@ from .errors import (
     InactiveColumnError,
     InfeasibleRowError,
 )
-from .model import Problem, RowClassification, classify_row, row_feasible
-from .wpm import CLASSIFY_TOL, wpm_inverse
+from .model import Problem, RowClassification, classify_row, column_mask, row_feasible
+from .wpm import CLASSIFY_TOL, inverse_levels, wpm_inverse
 
 __all__ = [
     "DEFAULT_CHOICE_LIMIT",
@@ -120,32 +121,29 @@ def max_solution_row(problem: Problem, cls: RowClassification) -> np.ndarray:
     Inverse value at each active column, 1 at each inert column.  Raises
     :class:`InfeasibleRowError` when the row admits no solution.
     """
-    if not row_feasible(cls):
-        raise InfeasibleRowError(
-            cls.row,
-            f"row {cls.row} is infeasible: "
-            f"blocking columns {list(cls.blocking)}, "
-            f"{len(cls.active)} active columns",
-        )
-    i = cls.row
-    x = np.ones(problem.n)
-    for j in cls.active:
-        x[j] = wpm_inverse(float(problem.A[i, j]), float(problem.b[i]), problem.params)
-    return x
+    row = Problem(problem.A[[cls.row]], problem.b[[cls.row]], problem.c, problem.params)
+    return max_solution(row, (cls,)).per_row[0]
 
 
 def global_max_solution(per_row: np.ndarray) -> np.ndarray:
     """Componentwise minimum of the stacked row maxima."""
-    matrix = np.asarray(per_row, dtype=float)
-    return matrix.min(axis=0)
+    return np.asarray(per_row, dtype=float).min(axis=0)
 
 
 def max_solution(
     problem: Problem, classifications: tuple[RowClassification, ...]
 ) -> MaxSolution:
-    per_row = np.vstack(
-        [max_solution_row(problem, cls) for cls in classifications]
-    )
+    """Row maxima and ``x_max``, from one pass over every entry's level."""
+    for cls in classifications:
+        if not row_feasible(cls):
+            raise InfeasibleRowError(
+                cls.row,
+                f"row {cls.row} is infeasible: "
+                f"blocking columns {list(cls.blocking)}, "
+                f"{len(cls.active)} active columns",
+            )
+    active = column_mask([cls.active for cls in classifications], problem.n)
+    per_row = np.where(active, inverse_levels(problem.A, problem.b, problem.params), 1.0)
     return MaxSolution(per_row=per_row, overall=global_max_solution(per_row))
 
 

@@ -18,10 +18,10 @@ row is decided by sorting its columns into three disjoint groups:
 A row is feasible iff it has no blocking column and at least one active
 column.  The three groups partition the column set by construction.
 
-Strict threshold comparisons use the ``CLASSIFY_TOL`` band from the
-operator kernel so a coefficient exactly on a boundary classifies as
-active, matching the closed (non-strict) solvability conditions of the
-inverse.
+The groups are read off the masks of one array pass over the matrix,
+``entry_masks`` of the operator kernel, whose ``CLASSIFY_TOL`` band makes
+a coefficient exactly on a boundary active, matching the closed
+(non-strict) solvability conditions of the inverse.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .wpm import CLASSIFY_TOL, WpmParams
+from .wpm import WpmParams, entry_masks
 
 __all__ = [
     "Problem",
@@ -113,34 +113,26 @@ class RowClassification:
 
 
 def classify_row(problem: Problem, i: int) -> RowClassification:
-    """Sort the columns of row ``i`` into blocking, inert and active groups.
-
-    A column ``j`` blocks when ``A[i, j] > b[i] / w**(1/p)`` (the composed
-    value exceeds the target even at ``x[j] = 0``).  It is inert when the
-    target is unreachable even at ``x[j] = 1``, which can only happen when
-    ``b[i]**p >= 1 - w``; the unreachability threshold is evaluated only
-    under that guard.  Everything else is active.
-    """
-    a = problem.A[i]
-    target = float(problem.b[i])
-    w, p = problem.params.w, problem.params.p
-    blocking_mask = a > target / problem.params.blocking_scale + CLASSIFY_TOL
-    inert_mask = np.zeros_like(blocking_mask)
-    t_pow = target**p
-    if t_pow >= 1.0 - w:
-        reach = ((t_pow + w - 1.0) / w) ** (1.0 / p)
-        inert_mask = ~blocking_mask & (a < reach - CLASSIFY_TOL)
-    active_mask = ~blocking_mask & ~inert_mask
-    return RowClassification(
-        row=i,
-        blocking=tuple(int(j) for j in np.flatnonzero(blocking_mask)),
-        inert=tuple(int(j) for j in np.flatnonzero(inert_mask)),
-        active=tuple(int(j) for j in np.flatnonzero(active_mask)),
-    )
+    """Sort the columns of row ``i`` into blocking, inert and active groups."""
+    return classify_all(problem)[i]
 
 
 def classify_all(problem: Problem) -> tuple[RowClassification, ...]:
-    return tuple(classify_row(problem, i) for i in range(problem.m))
+    """Classify every row, reading the tuples off one pass's masks."""
+    blocking, inert = entry_masks(problem.A, problem.b, problem.params)
+    groups = []
+    for mask in (blocking, inert, ~blocking & ~inert):
+        cols = np.nonzero(mask)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+        groups.append([tuple(cols[start:end]) for start, end in zip([0] + ends, ends)])
+    return tuple(map(RowClassification, range(problem.m), *groups))
+
+
+def column_mask(groups: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The ``(len(groups), n)`` mask that is set where ``j in groups[i]``."""
+    mask = np.zeros((len(groups), n), dtype=bool)
+    mask.reshape(-1)[[i * n + j for i, cols in enumerate(groups) for j in cols]] = True
+    return mask
 
 
 def row_feasible(cls: RowClassification) -> bool:

@@ -12,20 +12,22 @@ Two rewrites zero out matrix entries without changing the solution set:
 
 Zeroing an active entry removes it from the row's active set and thus
 multiplies down the selector-space size.  Rule-two eligibility is decided
-for all pairs against the pre-rule matrix and the zeros are applied in
-one batch, which makes the outcome order-independent; the strict
-inequality is tested with a ``CLASSIFY_TOL`` margin so knife-edge pairs
-are left alone.  The pipeline applies rule one then rule two, once each;
-an optional flag repeats the pair until a fixpoint.
+for all pairs against the pre-rule matrix, by an array pass per column
+over its active rows, and the zeros are applied in one batch in row-major
+order; the strict inequality is tested with a ``CLASSIFY_TOL`` margin so
+knife-edge pairs are left alone.  The pipeline applies rule one then rule
+two, once each; an optional flag repeats the pair until a fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleRowError
 from .lattice import choice_space_size
-from .model import Problem, RowClassification, classify_all, row_feasible
+from .model import Problem, RowClassification, classify_all, column_mask, row_feasible
 from .wpm import CLASSIFY_TOL
 
 __all__ = [
@@ -58,20 +60,19 @@ class SimplificationLog:
 
 def _dominated_cells(
     problem: Problem, classifications: tuple[RowClassification, ...]
-) -> list[tuple[int, int]]:
-    A = problem.A
+) -> np.ndarray:
+    """Mask of the active cells ``(k, j)`` that rule two zeroes."""
     w, p = problem.params.w, problem.params.p
     b_pow = problem.b**p
-    active = [set(cls.active) for cls in classifications]
-    doomed: list[tuple[int, int]] = []
-    for k, cls in enumerate(classifications):
-        for j0 in cls.active:
-            for i in range(problem.m):
-                if i == k or j0 not in active[i]:
-                    continue
-                if b_pow[i] - b_pow[k] < w * (A[i, j0] ** p - A[k, j0] ** p) - CLASSIFY_TOL:
-                    doomed.append((k, j0))
-                    break
+    a_pow = np.float_power(problem.A, p)
+    active = column_mask([cls.active for cls in classifications], problem.n)
+    doomed = np.zeros_like(active)
+    for j in np.flatnonzero(np.count_nonzero(active, axis=0) > 1).tolist():
+        rows = np.flatnonzero(active[:, j])
+        bp, ap = b_pow[rows], a_pow[rows, j]
+        # [k, i]: row i pins column j below what row k needs; False when i == k
+        pinned = bp - bp[:, None] < w * (ap - ap[:, None]) - CLASSIFY_TOL
+        doomed[rows, j] = pinned.any(axis=1)
     return doomed
 
 
@@ -83,19 +84,17 @@ def _apply(
         if not row_feasible(cls):
             raise InfeasibleRowError(cls.row)
     if rule == "first":
-        cells = [(cls.row, j) for cls in classifications for j in cls.inert]
+        cells = column_mask([cls.inert for cls in classifications], problem.n)
     else:
         cells = _dominated_cells(problem, classifications)
     A = problem.A.copy()
-    entries = []
-    for i, j in cells:
-        if A[i, j] != 0.0:
-            entries.append(SimplificationEntry(rule, i, j, float(A[i, j])))
-            A[i, j] = 0.0
+    rows, cols = np.nonzero(cells & (A != 0.0))
+    values = zip(rows.tolist(), cols.tolist(), A[rows, cols].tolist())
+    A[rows, cols] = 0.0
     simplified = problem.with_matrix(A)
     after = classify_all(simplified)
     log = SimplificationLog(
-        entries=tuple(entries),
+        entries=tuple(SimplificationEntry(rule, i, j, v) for i, j, v in values),
         choices_before=choice_space_size(classifications),
         choices_after=choice_space_size(after),
     )

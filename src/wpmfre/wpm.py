@@ -20,10 +20,10 @@ A solution exists iff both
   * ``t**p < 1 - w`` or ``a >= ((t**p + w - 1) / w) ** (1/p)``
     (otherwise even ``x = 1`` falls short).
 
-The second root is evaluated only after checking ``t**p >= 1 - w`` so no
-fractional power of a negative number is ever formed.  Strict inequalities
-are tested with the tolerance band ``CLASSIFY_TOL`` so knife-edge inputs
-resolve deterministically to the solvable side.
+Both tests and the inverse are array passes; the second root is used only
+where ``t**p >= 1 - w``.  Strict inequalities use the band ``CLASSIFY_TOL``
+so knife-edge inputs resolve to the solvable side.  Powers of single
+entries use ``np.float_power``, which rounds like Python's scalar ``**``.
 """
 
 from __future__ import annotations
@@ -111,6 +111,25 @@ def wpm(a: ArrayLike, x: ArrayLike, params: WpmParams) -> ArrayLike:
     return out
 
 
+@np.errstate(all="ignore")  # b / w**(1/p) is inf or nan once w**(1/p) underflows
+def entry_masks(A: np.ndarray, b: np.ndarray, params: WpmParams) -> tuple[np.ndarray, ...]:
+    """Blocking and inert masks of every entry ``A[i, j]`` against ``b[i]``."""
+    w, p = params.w, params.p
+    blocking = A > (b / params.blocking_scale + CLASSIFY_TOL)[:, None]
+    t_pow = np.float_power(b, p)
+    reach = np.float_power(np.maximum((t_pow + w - 1.0) / w, 0.0), 1.0 / p)
+    guarded = (t_pow >= 1.0 - w)[:, None]
+    return blocking, ~blocking & guarded & (A < (reach - CLASSIFY_TOL)[:, None])
+
+
+def inverse_levels(A: np.ndarray, b: np.ndarray, params: WpmParams) -> np.ndarray:
+    """The inverse at every entry, clamped into [0, 1]; valid where not masked."""
+    w, p = params.w, params.p
+    numerator = np.float_power(b, p)[:, None] - w * np.float_power(A, p)
+    x = np.where(numerator < 0.0, 0.0, numerator) / (1.0 - w)
+    return np.float_power(np.where(1.0 < x, 1.0, x), 1.0 / p)
+
+
 def wpm_inverse(a: float, target: float, params: WpmParams) -> float:
     """Solve ``wpm(a, x) == target`` for ``x``.
 
@@ -123,22 +142,13 @@ def wpm_inverse(a: float, target: float, params: WpmParams) -> float:
     """
     a_f = float(_require_unit("a", a))
     t_f = float(_require_unit("target", target))
-    w, p = params.w, params.p
-    if a_f > t_f / params.blocking_scale + CLASSIFY_TOL:
-        raise NoSolutionError(
-            f"coefficient {a_f} overshoots target {t_f} even at x = 0"
-        )
-    t_pow = t_f**p
-    if t_pow >= 1.0 - w:
-        # only now is the root argument nonnegative
-        reach = ((t_pow + w - 1.0) / w) ** (1.0 / p)
-        if a_f < reach - CLASSIFY_TOL:
-            raise NoSolutionError(
-                f"coefficient {a_f} cannot reach target {t_f} even at x = 1"
-            )
-    numerator = t_pow - w * a_f**p
-    x = (max(numerator, 0.0) / (1.0 - w)) ** (1.0 / p)
-    return min(x, 1.0)
+    A, b = np.array([[a_f]]), np.array([t_f])
+    blocking, inert = entry_masks(A, b, params)
+    if blocking[0, 0]:
+        raise NoSolutionError(f"coefficient {a_f} overshoots target {t_f} even at x = 0")
+    if inert[0, 0]:
+        raise NoSolutionError(f"coefficient {a_f} cannot reach target {t_f} even at x = 1")
+    return float(inverse_levels(A, b, params)[0, 0])
 
 
 def row_composition(a_row: ArrayLike, x: ArrayLike, params: WpmParams) -> float:

@@ -1,0 +1,235 @@
+"""The array passes against entry-by-entry scalar references.
+
+Classification, the levels behind ``x_max`` and the two simplification
+rules run as array passes over the whole matrix.  Each is checked here
+against a per-entry loop in plain Python floats, written in this file,
+over the whole parameter domain ``0 < w < 1``, ``0.02 <= p <= 200``, with
+entries exactly 0 and 1 and ``A == b == t`` ties drawn often.  Levels and
+rule-two cells must agree bit for bit and in the same order: the array
+passes use ``np.float_power`` where the scalar code raises a single value
+to a power, and it rounds as Python's ``**`` does.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wpmfre import (
+    CLASSIFY_TOL,
+    EnumerationBudgetError,
+    Problem,
+    STATUS_OPTIMAL,
+    WpmParams,
+    choice_space_size,
+    classify_all,
+    classify_row,
+    enumerate_candidates,
+    generate_instance,
+    max_solution,
+    row_feasible,
+    simplify_first,
+    simplify_pipeline,
+    simplify_second,
+    solve,
+    wpm,
+    wpm_inverse,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@st.composite
+def problems(draw):
+    """A problem over the whole domain, with 0, 1 and a tie value ``t`` drawn often.
+
+    Half the time ``b`` is composed at a hidden point, so that every row is
+    feasible and has active entries; otherwise every target is drawn on
+    its own like the entries.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    w = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    p = draw(st.floats(0.02, 200.0))
+    t = draw(st.floats(0.0, 1.0))
+    value = st.one_of(st.sampled_from([0.0, 1.0, t]), st.floats(0.0, 1.0))
+    A = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
+    params = WpmParams(w, p)
+    if draw(st.booleans()):
+        hidden = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+        b = np.max(wpm(A, hidden[None, :], params), axis=1)
+    else:
+        b = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    # some entries sit exactly on a scalar threshold of their row
+    edges = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.booleans())
+    for i, j, side in draw(st.lists(edges, max_size=m * n)):
+        edge = scalar_thresholds(float(b[i]), params)[side]
+        if edge is not None and 0.0 <= edge <= 1.0:
+            A[i, j] = edge
+    return Problem(A, b, np.zeros(n), params)
+
+
+def scalar_thresholds(t, params):
+    """In Python floats: ``a`` blocks above the first and is inert below the second.
+
+    The first is None when ``w**(1/p)`` underflows to 0 (nothing blocks),
+    the second when ``t**p < 1 - w`` (nothing is inert).
+    """
+    w, p = params.w, params.p
+    scale = w ** (1.0 / p)
+    t_pow = t**p
+    blocking = t / scale + CLASSIFY_TOL if scale > 0.0 else None
+    reach = ((t_pow + w - 1.0) / w) ** (1.0 / p) if t_pow >= 1.0 - w else None
+    return blocking, None if reach is None else reach - CLASSIFY_TOL
+
+
+def scalar_groups(prob):
+    """Per-entry classification in Python floats: blocking, inert, active."""
+    groups = []
+    for i in range(prob.m):
+        blocking, inert = scalar_thresholds(float(prob.b[i]), prob.params)
+        row = ([], [], [])
+        for j in range(prob.n):
+            a = float(prob.A[i, j])
+            if blocking is not None and a > blocking:
+                row[0].append(j)
+            elif inert is not None and a < inert:
+                row[1].append(j)
+            else:
+                row[2].append(j)
+        groups.append(tuple(map(tuple, row)))
+    return groups
+
+
+def scalar_level(a, t, params):
+    """The closed-form inverse in Python floats, clamped into [0, 1]."""
+    w, p = params.w, params.p
+    numerator = t**p - w * a**p
+    return min((max(numerator, 0.0) / (1.0 - w)) ** (1.0 / p), 1.0)
+
+
+def scalar_rule_two(prob, classifications):
+    """The literal triple loop of rule two: ``(row, col, old value)`` in order."""
+    w, p = prob.params.w, prob.params.p
+    b_pow = prob.b**p
+    active = [set(cls.active) for cls in classifications]
+    cells = []
+    for k, cls in enumerate(classifications):
+        for j in cls.active:
+            for i in range(prob.m):
+                if i == k or j not in active[i]:
+                    continue
+                if b_pow[i] - b_pow[k] < w * (prob.A[i, j] ** p - prob.A[k, j] ** p) - CLASSIFY_TOL:
+                    cells.append((k, j, float(prob.A[k, j])))
+                    break
+    return [cell for cell in cells if cell[2] != 0.0]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestClassification:
+    @SETTINGS
+    @given(problems())
+    def test_masks_match_scalar_classification(self, prob):
+        expected = scalar_groups(prob)
+        got = classify_all(prob)
+        assert [(c.blocking, c.inert, c.active) for c in got] == expected
+        assert [c.row for c in got] == list(range(prob.m))
+        for i in (0, prob.m - 1):
+            assert classify_row(prob, i) == got[i]
+
+    def test_entries_one_float_around_every_threshold(self):
+        # numpy's array ``**`` rounds some of these thresholds differently
+        # from the scalar one, and then an entry next to it changes group
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            w, p = rng.uniform(0.01, 0.99), np.exp(rng.uniform(np.log(0.02), np.log(200)))
+            params = WpmParams(w, p)
+            b = rng.uniform(size=10)
+            rows = []
+            for t in b.tolist():
+                row = []
+                for edge in scalar_thresholds(t, params):
+                    edge = 0.5 if edge is None else edge
+                    row += [float(np.nextafter(edge, step * np.inf)) for step in (-1, 1)] + [edge]
+                rows.append(np.clip(row, 0.0, 1.0))
+            prob = Problem(np.array(rows), b, np.zeros(6), params)
+            got = [(c.blocking, c.inert, c.active) for c in classify_all(prob)]
+            assert got == scalar_groups(prob)
+
+    def test_underflowing_blocking_scale(self):
+        # w**(1/p) == 0.0 here: a threshold of b / 0 used to raise
+        params = WpmParams(1e-7, 0.02)
+        assert params.blocking_scale == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(generate_instance(3, 4, params, 0))
+        assert report.status == STATUS_OPTIMAL
+
+
+class TestLevels:
+    @SETTINGS
+    @given(problems())
+    def test_levels_bit_equal_to_scalar_inverse(self, prob):
+        classifications = classify_all(prob)
+        if not all(map(row_feasible, classifications)):
+            return
+        ms = max_solution(prob, classifications)
+        expected = np.ones((prob.m, prob.n))
+        for cls in classifications:
+            for j in cls.active:
+                a, t = float(prob.A[cls.row, j]), float(prob.b[cls.row])
+                expected[cls.row, j] = scalar_level(a, t, prob.params)
+                assert bits(wpm_inverse(a, t, prob.params)) == bits(expected[cls.row, j])
+        assert bits(ms.per_row) == bits(expected)
+        assert bits(ms.overall) == bits(expected.min(axis=0))
+
+
+class TestRules:
+    @SETTINGS
+    @given(problems())
+    def test_rule_two_matches_triple_loop(self, prob):
+        classifications = classify_all(prob)
+        if not all(map(row_feasible, classifications)):
+            return
+        _, log = simplify_second(prob, classifications)
+        got = [(e.rule, e.row, e.col, e.old_value) for e in log.entries]
+        expected = [("second", *cell) for cell in scalar_rule_two(prob, classifications)]
+        assert got == expected
+
+    @SETTINGS
+    @given(problems())
+    def test_rule_one_zeroes_inert_cells_in_row_order(self, prob):
+        classifications = classify_all(prob)
+        if not all(map(row_feasible, classifications)):
+            return
+        _, log = simplify_first(prob, classifications)
+        expected = [
+            ("first", cls.row, j, float(prob.A[cls.row, j]))
+            for cls in classifications
+            for j in cls.inert
+            if prob.A[cls.row, j] != 0.0
+        ]
+        assert [(e.rule, e.row, e.col, e.old_value) for e in log.entries] == expected
+
+
+class TestExactSelectorCounts:
+    """Selector counts stay exact Python integers far beyond int64."""
+
+    def test_sixteen_by_sixteen_all_active(self):
+        params = WpmParams(0.75, 3.0)
+        prob = Problem(np.full((16, 16), 0.6), np.full(16, 0.6), np.ones(16), params)
+        classifications = classify_all(prob)
+        assert all(len(cls.active) == 16 for cls in classifications)
+        assert choice_space_size(classifications) == 16**16
+        with pytest.raises(EnumerationBudgetError) as info:
+            enumerate_candidates(prob, classifications)
+        assert info.value.required == 16**16
+        _, log, _ = simplify_pipeline(prob, classifications)
+        assert type(log.choices_before) is int and log.choices_before == 16**16
+        assert type(log.choices_after) is int and log.choices_after == 16**16
+        report = solve(prob, limit=500)
+        assert report.diagnostic["required"] == 16**16

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from conftest import GOLDEN_PATH
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpmfre import (
     DimensionError,
@@ -21,6 +23,7 @@ from wpmfre import (
     problem_to_dict,
     report_dumps,
     report_to_dict,
+    row_composition,
     solve,
     wpm,
 )
@@ -217,6 +220,24 @@ class TestGenerateInstance:
         hidden = rng.uniform(size=1)[0]
         assert prob.A[0, 0] == a
         assert prob.b[0] == wpm(a, hidden, P)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p=st.floats(0.02, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_targets_equal_row_by_row_composition(self, m, n, w, p, seed):
+        params = WpmParams(w, p)
+        prob = generate_instance(m, n, params, seed)
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(size=(m, n))
+        hidden = rng.uniform(size=n)
+        b = np.array([row_composition(A[i], hidden, params) for i in range(m)])
+        assert np.array_equal(prob.A, A)
+        assert prob.b.tobytes() == b.tobytes()
 
     def test_generated_instances_are_feasible(self):
         for seed in range(25):

@@ -1,11 +1,13 @@
 """Cost splitting, candidate scan, and end-to-end solver tests."""
 
+import importlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import GOLDEN, GOLDEN_PATH, structure_instance
 
+import wpmfre.lattice
 import wpmfre.optimize
 import wpmfre.simplify
 from wpmfre import (
@@ -34,6 +36,9 @@ from wpmfre import (
 from wpmfre.optimize import decide_feasibility
 
 P = WpmParams(0.75, 3.0)
+
+#: The kernel module; the package root's ``wpm`` attribute is the operator.
+WPM_MODULE = importlib.import_module("wpmfre.wpm")
 
 
 def tiny(A, b, c=None, params=P):
@@ -266,16 +271,14 @@ class TestDecideFeasibility:
 
 
 class TestWorkCount:
-    """``solve`` classifies and checks membership a fixed number of times."""
+    """``solve`` classifies and checks membership a fixed number of times.
 
-    @pytest.mark.parametrize("simplify, classify_calls", [(True, 3), (False, 1)])
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: load_problem(str(GOLDEN_PATH)), lambda: generate_instance(12, 12, P, 0)],
-        ids=["golden", "generated-12x12"],
-    )
-    def test_calls_per_solve(self, monkeypatch, make, simplify, classify_calls):
-        prob = make()
+    Neither ``solve`` nor the feasibility decision calls the scalar
+    inverse: every level comes from one array pass.
+    """
+
+    @staticmethod
+    def count(monkeypatch, sites):
         calls = Counter()
 
         def counted(name, fn):
@@ -285,18 +288,51 @@ class TestWorkCount:
 
             return wrapper
 
-        for module in (wpmfre.optimize, wpmfre.simplify):
-            monkeypatch.setattr(
-                module, "classify_all", counted("classify_all", module.classify_all)
-            )
-        monkeypatch.setattr(
-            wpmfre.optimize,
-            "check_membership",
-            counted("check_membership", wpmfre.optimize.check_membership),
+        for module, name in sites:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("simplify, classify_calls", [(True, 3), (False, 1)])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_problem(str(GOLDEN_PATH)), lambda: generate_instance(12, 12, P, 0)],
+        ids=["golden", "generated-12x12"],
+    )
+    def test_calls_per_solve(self, monkeypatch, make, simplify, classify_calls):
+        prob = make()
+        calls = self.count(
+            monkeypatch,
+            [
+                (wpmfre.optimize, "classify_all"),
+                (wpmfre.simplify, "classify_all"),
+                (wpmfre.optimize, "check_membership"),
+                (wpmfre.lattice, "wpm_inverse"),
+                (WPM_MODULE, "wpm_inverse"),
+            ],
         )
         report = solve(prob, simplify=simplify)
         assert report.status == STATUS_OPTIMAL
         assert calls == {"classify_all": classify_calls, "check_membership": 2}
+        assert calls["wpm_inverse"] == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: load_problem(str(GOLDEN_PATH)),
+            lambda: generate_instance(40, 40, P, 3),
+            lambda: generate_instance(3, 4, WpmParams(0.5, 10.0), 0),
+            conflicting_rows_problem,
+        ],
+        ids=["golden", "generated-40x40", "large-p", "conflicting-rows"],
+    )
+    def test_feasibility_never_inverts_an_entry(self, monkeypatch, make):
+        prob = make()
+        calls = self.count(
+            monkeypatch, [(wpmfre.lattice, "wpm_inverse"), (WPM_MODULE, "wpm_inverse")]
+        )
+        decide_feasibility(prob)
+        solve(prob)
+        assert calls["wpm_inverse"] == 0
 
 
 class TestSolveRandom:
