@@ -40,24 +40,20 @@ from .lattice import (
     choice_space_size,
     enumerate_candidates,
     feasible_candidates,
-    global_max_solution,
     max_solution,
-    max_solution_row,
     minimal_solution_row,
 )
 from .model import (
+    Classification,
     Problem,
     RowClassification,
     classify_all,
     classify_row,
-    problem_feasible,
-    row_feasible,
 )
 from .optimize import (
     STATUS_BUDGET_EXCEEDED,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    CostSplit,
     SolveReport,
     assemble_optimum,
     solve,
@@ -66,6 +62,7 @@ from .optimize import (
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     GridSpec,
+    OracleCandidate,
     check_membership,
     exhaustive_candidates,
     grid_feasible_set,
@@ -74,9 +71,7 @@ from .oracle import (
 from .simplify import (
     SimplificationEntry,
     SimplificationLog,
-    simplify_first,
     simplify_pipeline,
-    simplify_second,
 )
 from .wpm import (
     CLASSIFY_TOL,
@@ -94,7 +89,7 @@ __all__ = [
     "CLASSIFY_TOL",
     "CandidateMinimal",
     "Candidates",
-    "CostSplit",
+    "Classification",
     "DEFAULT_CHOICE_LIMIT",
     "DEFAULT_ORACLE_LIMIT",
     "DimensionError",
@@ -109,6 +104,7 @@ __all__ = [
     "MembershipError",
     "NoSolutionError",
     "OracleBudgetError",
+    "OracleCandidate",
     "ParameterDomainError",
     "Problem",
     "ProblemFormatError",
@@ -130,26 +126,20 @@ __all__ = [
     "exhaustive_candidates",
     "feasible_candidates",
     "generate_instance",
-    "global_max_solution",
     "grid_feasible_set",
     "load_point",
     "load_problem",
     "max_solution",
-    "max_solution_row",
     "minimal_solution_row",
     "oracle_feasible",
     "parse_point",
     "parse_problem",
     "problem_dumps",
-    "problem_feasible",
     "problem_to_dict",
     "report_dumps",
     "report_to_dict",
     "row_composition",
-    "row_feasible",
-    "simplify_first",
     "simplify_pipeline",
-    "simplify_second",
     "solve",
     "solve_z2",
     "wpm",

@@ -33,7 +33,6 @@ from .io import (
     report_dumps,
 )
 from .lattice import DEFAULT_CHOICE_LIMIT
-from .model import classify_all
 from .optimize import STATUS_BUDGET_EXCEEDED, STATUS_OPTIMAL, decide_feasibility, solve
 from .oracle import check_membership
 from .simplify import simplify_pipeline
@@ -150,9 +149,14 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
+    classification, _, _, diagnostic = decide_feasibility(problem)
+    if diagnostic is not None:
+        row = diagnostic.get("row", diagnostic.get("worst_row"))
+        print(f"cannot simplify: row {row} is infeasible", file=sys.stderr)
+        return EXIT_INFEASIBLE
     try:
         simplified, log, _ = simplify_pipeline(
-            problem, classify_all(problem), fixpoint=args.fixpoint
+            problem, classification, fixpoint=args.fixpoint
         )
     except InfeasibleRowError as exc:
         print(f"cannot simplify: {exc}", file=sys.stderr)

@@ -138,15 +138,7 @@ def _candidate_to_dict(cand: CandidateMinimal) -> dict:
 
 def _log_to_dict(log: SimplificationLog) -> dict:
     return {
-        "entries": [
-            {
-                "rule": entry.rule,
-                "row": entry.row,
-                "col": entry.col,
-                "old_value": entry.old_value,
-            }
-            for entry in log.entries
-        ],
+        "entries": [entry._asdict() for entry in log.entries],
         "choices_before": log.choices_before,
         "choices_after": log.choices_after,
     }
@@ -230,10 +222,8 @@ def _log_dumps(log: SimplificationLog | None) -> str:
     """The report's ``simplification`` value, laid out as ``json.dumps``."""
     if log is None:
         return "null"
-    entries = ",\n".join(
-        _ENTRY % (e.rule, e.row, e.col, float.__repr__(e.old_value))
-        for e in log.entries
-    )
+    # an entry is a tuple in the template's order, and ``%s`` of a float is its repr
+    entries = ",\n".join(map(_ENTRY.__mod__, log.entries))
     listed = "[\n" + entries + "\n    ]" if entries else "[]"
     return _LOG % (listed, log.choices_before, log.choices_after)
 

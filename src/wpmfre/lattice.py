@@ -30,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EnumerationBudgetError,
-    InactiveColumnError,
-    InfeasibleRowError,
-)
-from .model import Problem, RowClassification, classify_row, column_mask, row_feasible
+from .errors import EnumerationBudgetError, InactiveColumnError
+from .model import Classification, Problem, classify_row
 from .wpm import CLASSIFY_TOL, inverse_levels, wpm_inverse
 
 __all__ = [
@@ -43,8 +39,6 @@ __all__ = [
     "MaxSolution",
     "CandidateMinimal",
     "Candidates",
-    "max_solution_row",
-    "global_max_solution",
     "max_solution",
     "minimal_solution_row",
     "choice_space_size",
@@ -115,36 +109,15 @@ class Candidates:
         return map(self.__getitem__, range(len(self)))
 
 
-def max_solution_row(problem: Problem, cls: RowClassification) -> np.ndarray:
-    """Largest point solving row ``cls.row`` alone.
+def max_solution(problem: Problem, classification: Classification) -> MaxSolution:
+    """Row maxima and ``x_max``, from one pass over every entry's level.
 
-    Inverse value at each active column, 1 at each inert column.  Raises
-    :class:`InfeasibleRowError` when the row admits no solution.
+    Raises :class:`InfeasibleRowError` when some row admits no solution.
     """
-    row = Problem(problem.A[[cls.row]], problem.b[[cls.row]], problem.c, problem.params)
-    return max_solution(row, (cls,)).per_row[0]
-
-
-def global_max_solution(per_row: np.ndarray) -> np.ndarray:
-    """Componentwise minimum of the stacked row maxima."""
-    return np.asarray(per_row, dtype=float).min(axis=0)
-
-
-def max_solution(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> MaxSolution:
-    """Row maxima and ``x_max``, from one pass over every entry's level."""
-    for cls in classifications:
-        if not row_feasible(cls):
-            raise InfeasibleRowError(
-                cls.row,
-                f"row {cls.row} is infeasible: "
-                f"blocking columns {list(cls.blocking)}, "
-                f"{len(cls.active)} active columns",
-            )
-    active = column_mask([cls.active for cls in classifications], problem.n)
-    per_row = np.where(active, inverse_levels(problem.A, problem.b, problem.params), 1.0)
-    return MaxSolution(per_row=per_row, overall=global_max_solution(per_row))
+    classification.require_feasible()
+    levels = inverse_levels(problem.A, problem.b, problem.params)
+    per_row = np.where(classification.active, levels, 1.0)
+    return MaxSolution(per_row=per_row, overall=per_row.min(axis=0))
 
 
 def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
@@ -163,14 +136,14 @@ def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
     return x
 
 
-def choice_space_size(classifications: tuple[RowClassification, ...]) -> int:
+def choice_space_size(classification: Classification) -> int:
     """Number of selector vectors: product of active-column counts."""
-    return math.prod(len(cls.active) for cls in classifications)
+    return math.prod(np.count_nonzero(classification.active, axis=1).tolist())
 
 
 def enumerate_candidates(
     problem: Problem,
-    classifications: tuple[RowClassification, ...],
+    classification: Classification,
     limit: int = DEFAULT_CHOICE_LIMIT,
 ) -> Candidates:
     """One candidate per selector vector, in lexicographic order.
@@ -186,20 +159,18 @@ def enumerate_candidates(
     ``x_max`` iff every level it picked does; rows where no level fits
     are recorded in ``stranded``.
     """
-    for cls in classifications:
-        if not row_feasible(cls):
-            raise InfeasibleRowError(cls.row)
-    required = choice_space_size(classifications)
+    classification.require_feasible()
+    required = choice_space_size(classification)
     if required > limit:
         raise EnumerationBudgetError(required=required, limit=limit)
-    ms = max_solution(problem, classifications)
+    ms = max_solution(problem, classification)
     choices = np.empty((required, problem.m), dtype=np.intp)
     points = np.zeros((required, problem.n))
     feasible = np.ones(required, dtype=bool)
     stranded = []
     stride = required
-    for i, cls in enumerate(classifications):
-        cols = list(cls.active)
+    for i, row in enumerate(classification.active):
+        cols = np.flatnonzero(row).tolist()
         stride //= len(cols)
         # selector k picks cols[(k // stride) % len(cols)]: split its axis
         # into (blocks, position in cols, stride)
@@ -212,7 +183,7 @@ def enumerate_candidates(
         for k, j in enumerate(cols):
             np.maximum(corners[:, k, :, j], level[k], out=corners[:, k, :, j])
         if not fits.any():
-            stranded.append(cls.row)
+            stranded.append(i)
     return Candidates(
         choices=choices, points=points, feasible=feasible, stranded=tuple(stranded)
     )

@@ -18,28 +18,29 @@ row is decided by sorting its columns into three disjoint groups:
 A row is feasible iff it has no blocking column and at least one active
 column.  The three groups partition the column set by construction.
 
-The groups are read off the masks of one array pass over the matrix,
+The groups are the masks of one array pass over the matrix,
 ``entry_masks`` of the operator kernel, whose ``CLASSIFY_TOL`` band makes
 a coefficient exactly on a boundary active, matching the closed
-(non-strict) solvability conditions of the inverse.
+(non-strict) solvability conditions of the inverse.  A
+:class:`Classification` keeps those masks; its rows are views.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, InfeasibleRowError
 from .wpm import WpmParams, entry_masks
 
 __all__ = [
     "Problem",
     "RowClassification",
+    "Classification",
     "classify_row",
     "classify_all",
-    "row_feasible",
-    "problem_feasible",
 ]
 
 
@@ -112,41 +113,56 @@ class RowClassification:
     active: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Classification:
+    """Every entry of a problem as blocking, inert or active.
+
+    ``blocking``, ``inert`` and ``active`` are read-only ``(m, n)`` masks
+    that partition the entries, and ``infeasible`` lists the rows with a
+    blocking column or no active column.  ``len()``, indexing and
+    iteration see the rows as :class:`RowClassification`.
+    """
+
+    blocking: np.ndarray
+    inert: np.ndarray
+    active: np.ndarray
+    infeasible: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for arr in (self.blocking, self.inert, self.active):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.active)
+
+    def __getitem__(self, i: int) -> RowClassification:
+        i = range(len(self))[i]
+        masks = (self.blocking, self.inert, self.active)
+        return RowClassification(i, *(tuple(np.flatnonzero(mask[i]).tolist()) for mask in masks))
+
+    def __iter__(self) -> Iterator[RowClassification]:
+        return map(self.__getitem__, range(len(self)))
+
+    def require_feasible(self) -> None:
+        """Raise :class:`InfeasibleRowError` naming the first infeasible row."""
+        if self.infeasible:
+            cls = self[self.infeasible[0]]
+            raise InfeasibleRowError(
+                cls.row,
+                f"row {cls.row} is infeasible: "
+                f"blocking columns {list(cls.blocking)}, "
+                f"{len(cls.active)} active columns",
+            )
+
+
 def classify_row(problem: Problem, i: int) -> RowClassification:
     """Sort the columns of row ``i`` into blocking, inert and active groups."""
     return classify_all(problem)[i]
 
 
-def classify_all(problem: Problem) -> tuple[RowClassification, ...]:
-    """Classify every row, reading the tuples off one pass's masks."""
+def classify_all(problem: Problem) -> Classification:
+    """Classify every entry in one pass over the matrix."""
     blocking, inert = entry_masks(problem.A, problem.b, problem.params)
-    groups = []
-    for mask in (blocking, inert, ~blocking & ~inert):
-        cols = np.nonzero(mask)[1].tolist()
-        ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-        groups.append([tuple(cols[start:end]) for start, end in zip([0] + ends, ends)])
-    return tuple(map(RowClassification, range(problem.m), *groups))
-
-
-def column_mask(groups: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The ``(len(groups), n)`` mask that is set where ``j in groups[i]``."""
-    mask = np.zeros((len(groups), n), dtype=bool)
-    mask.reshape(-1)[[i * n + j for i, cols in enumerate(groups) for j in cols]] = True
-    return mask
-
-
-def row_feasible(cls: RowClassification) -> bool:
-    """A row admits a solution iff nothing blocks and something is active."""
-    return not cls.blocking and bool(cls.active)
-
-
-def problem_feasible(problem: Problem) -> bool:
-    """Whole-system feasibility test.
-
-    False if any single row is infeasible.  Otherwise the system is
-    feasible iff its componentwise-largest candidate point (the global
-    maximum solution) actually solves every row within ``FEASIBILITY_TOL``.
-    """
-    from .optimize import decide_feasibility
-
-    return decide_feasibility(problem)[-1] is None
+    active = ~blocking & ~inert
+    infeasible = np.flatnonzero(blocking.any(axis=1) | ~active.any(axis=1))
+    return Classification(blocking, inert, active, tuple(infeasible.tolist()))

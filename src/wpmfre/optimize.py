@@ -26,13 +26,12 @@ from .lattice import (
     feasible_candidates,
     max_solution,
 )
-from .model import Problem, RowClassification, classify_all, row_feasible
+from .model import Classification, Problem, classify_all
 from .oracle import check_membership
 from .simplify import SimplificationLog, simplify_pipeline
 from .wpm import FEASIBILITY_TOL
 
 __all__ = [
-    "CostSplit",
     "SolveReport",
     "decide_feasibility",
     "solve_z2",
@@ -46,21 +45,6 @@ __all__ = [
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_BUDGET_EXCEEDED = "budget_exceeded"
-
-
-@dataclass(frozen=True)
-class CostSplit:
-    """Sign split of the cost vector: ``positive + negative == c`` exactly."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-
-    @classmethod
-    def from_costs(cls, c: np.ndarray) -> "CostSplit":
-        c_arr = np.asarray(c, dtype=float)
-        return cls(
-            positive=np.maximum(c_arr, 0.0), negative=np.minimum(c_arr, 0.0)
-        )
 
 
 @dataclass(frozen=True)
@@ -90,32 +74,32 @@ class SolveReport:
 
 
 def decide_feasibility(problem: Problem) -> tuple[
-    tuple[RowClassification, ...], np.ndarray | None, np.ndarray | None, dict | None
+    Classification, np.ndarray | None, np.ndarray | None, dict | None
 ]:
     """Classify, test every row, build ``x_max`` and check that it is a solution.
 
-    Returns ``(classifications, x_max, residuals, diagnostic)``.  The
+    Returns ``(classification, x_max, residuals, diagnostic)``.  The
     diagnostic is None when the system is feasible.  Otherwise its
     ``"reason"`` is ``"infeasible_row"``, with ``x_max`` and ``residuals``
     None, or ``"maximum_point_not_solution"``.
     """
-    classifications = classify_all(problem)
-    for cls in classifications:
-        if not row_feasible(cls):
-            return classifications, None, None, {
-                "reason": "infeasible_row",
-                "row": cls.row,
-                "blocking_columns": list(cls.blocking),
-                "active_columns": list(cls.active),
-            }
-    x_max = max_solution(problem, classifications).overall
+    classification = classify_all(problem)
+    if classification.infeasible:
+        cls = classification[classification.infeasible[0]]
+        return classification, None, None, {
+            "reason": "infeasible_row",
+            "row": cls.row,
+            "blocking_columns": list(cls.blocking),
+            "active_columns": list(cls.active),
+        }
+    x_max = max_solution(problem, classification).overall
     member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
     diagnostic = None if member else {
         "reason": "maximum_point_not_solution",
         "residuals": residuals.tolist(),
         "worst_row": int(np.argmax(residuals)),
     }
-    return classifications, x_max, residuals, diagnostic
+    return classification, x_max, residuals, diagnostic
 
 
 def solve_z2(
@@ -185,15 +169,15 @@ def solve(
     fails.
     """
     t0 = time.perf_counter()
-    classifications, x_max, _, diagnostic = decide_feasibility(problem)
+    classification, x_max, _, diagnostic = decide_feasibility(problem)
     if diagnostic is not None:
         return _unsolved(STATUS_INFEASIBLE, False, t0, diagnostic, x_max=x_max)
     working = problem
     log: SimplificationLog | None = None
     if simplify:
-        working, log, classifications = simplify_pipeline(problem, classifications)
+        working, log, classification = simplify_pipeline(problem, classification)
     try:
-        candidates = enumerate_candidates(working, classifications, limit=limit)
+        candidates = enumerate_candidates(working, classification, limit=limit)
     except EnumerationBudgetError as exc:
         return _unsolved(
             STATUS_BUDGET_EXCEEDED,
@@ -220,8 +204,7 @@ def solve(
             x_max=x_max,
             simplification=log,
         )
-    split = CostSplit.from_costs(problem.c)
-    e_star, x_min_star = solve_z2(distinct, split.positive)
+    e_star, x_min_star = solve_z2(distinct, np.maximum(problem.c, 0.0))
     x_star = assemble_optimum(x_max, x_min_star, problem.c)
     member, residuals = check_membership(problem, x_star, FEASIBILITY_TOL)
     if not member:

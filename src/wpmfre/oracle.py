@@ -18,16 +18,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, OracleBudgetError
-from .lattice import CandidateMinimal
 from .model import Problem
 from .wpm import CLASSIFY_TOL, FEASIBILITY_TOL, wpm
 
 __all__ = [
     "GridSpec",
+    "OracleCandidate",
     "check_membership",
     "grid_feasible_set",
     "exhaustive_candidates",
@@ -39,6 +40,14 @@ __all__ = [
 DEFAULT_ORACLE_LIMIT = 10**6
 
 _BISECT_STEPS = 100
+
+
+class OracleCandidate(NamedTuple):
+    """Lower corner of one selector, as the brute-force enumerator sees it."""
+
+    choice: tuple[int, ...]
+    point: np.ndarray
+    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,7 @@ def _endpoint_classify(problem: Problem) -> list[dict[str, list[int]]]:
 
 def exhaustive_candidates(
     problem: Problem, limit: int = DEFAULT_ORACLE_LIMIT
-) -> list[CandidateMinimal]:
+) -> list[OracleCandidate]:
     """Candidate lower corners by brute force, no dedup, no simplification.
 
     Semantics match the lattice enumerator but every ingredient is
@@ -179,14 +188,14 @@ def exhaustive_candidates(
     for (i, j), v in levels.items():
         per_row[i, j] = v
     x_max = per_row.min(axis=0)
-    out: list[CandidateMinimal] = []
+    out: list[OracleCandidate] = []
     for choice in itertools.product(*(g["active"] for g in groups)):
         point = np.zeros(problem.n)
         for i, j in enumerate(choice):
             point[j] = max(point[j], levels[(i, j)])
         feasible = bool(np.all(point <= x_max + CLASSIFY_TOL))
         point.setflags(write=False)
-        out.append(CandidateMinimal(choice=choice, point=point, feasible=feasible))
+        out.append(OracleCandidate(choice=choice, point=point, feasible=feasible))
     return out
 
 

@@ -22,25 +22,23 @@ two, once each; an optional flag repeats the pair until a fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleRowError
 from .lattice import choice_space_size
-from .model import Problem, RowClassification, classify_all, column_mask, row_feasible
+from .model import Classification, Problem, classify_all
 from .wpm import CLASSIFY_TOL
 
 __all__ = [
     "SimplificationEntry",
     "SimplificationLog",
-    "simplify_first",
-    "simplify_second",
     "simplify_pipeline",
 ]
 
 
-@dataclass(frozen=True)
-class SimplificationEntry:
+class SimplificationEntry(NamedTuple):
     """One zeroed cell: which rule fired, where, and the value it erased."""
 
     rule: str  # "first" or "second"
@@ -58,14 +56,12 @@ class SimplificationLog:
     choices_after: int
 
 
-def _dominated_cells(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> np.ndarray:
+def _dominated_cells(problem: Problem, classification: Classification) -> np.ndarray:
     """Mask of the active cells ``(k, j)`` that rule two zeroes."""
     w, p = problem.params.w, problem.params.p
     b_pow = problem.b**p
     a_pow = np.float_power(problem.A, p)
-    active = column_mask([cls.active for cls in classifications], problem.n)
+    active = classification.active
     doomed = np.zeros_like(active)
     for j in np.flatnonzero(np.count_nonzero(active, axis=0) > 1).tolist():
         rows = np.flatnonzero(active[:, j])
@@ -76,67 +72,46 @@ def _dominated_cells(
     return doomed
 
 
-def _apply(
-    rule: str, problem: Problem, classifications: tuple[RowClassification, ...]
-) -> tuple[Problem, SimplificationLog, tuple[RowClassification, ...]]:
-    """Zero the inert ("first") or dominated ("second") cells; classify the result."""
-    for cls in classifications:
-        if not row_feasible(cls):
-            raise InfeasibleRowError(cls.row)
-    if rule == "first":
-        cells = column_mask([cls.inert for cls in classifications], problem.n)
-    else:
-        cells = _dominated_cells(problem, classifications)
+def _zero(
+    problem: Problem, rule: str, cells: np.ndarray, entries: list[SimplificationEntry]
+) -> Problem:
+    """Zero the nonzero ``cells`` and log each in row-major order."""
     A = problem.A.copy()
     rows, cols = np.nonzero(cells & (A != 0.0))
-    values = zip(rows.tolist(), cols.tolist(), A[rows, cols].tolist())
+    values = A[rows, cols].tolist()
+    entries.extend(map(SimplificationEntry, repeat(rule), rows.tolist(), cols.tolist(), values))
     A[rows, cols] = 0.0
-    simplified = problem.with_matrix(A)
-    after = classify_all(simplified)
-    log = SimplificationLog(
-        entries=tuple(SimplificationEntry(rule, i, j, v) for i, j, v in values),
-        choices_before=choice_space_size(classifications),
-        choices_after=choice_space_size(after),
-    )
-    return simplified, log, after
-
-
-def simplify_first(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> tuple[Problem, SimplificationLog]:
-    """Zero every inert entry.  Logs only cells that actually change."""
-    return _apply("first", problem, classifications)[:2]
-
-
-def simplify_second(
-    problem: Problem, classifications: tuple[RowClassification, ...]
-) -> tuple[Problem, SimplificationLog]:
-    """Zero dominated active entries, batch-evaluated on the given matrix."""
-    return _apply("second", problem, classifications)[:2]
+    return problem.with_matrix(A)
 
 
 def simplify_pipeline(
     problem: Problem,
-    classifications: tuple[RowClassification, ...],
+    classification: Classification,
     fixpoint: bool = False,
-) -> tuple[Problem, SimplificationLog, tuple[RowClassification, ...]]:
+) -> tuple[Problem, SimplificationLog, Classification]:
     """Apply the first then the second rule, once each by default.
 
-    ``classifications`` is ``classify_all(problem)``.  With
-    ``fixpoint=True`` the pair is repeated until a full pass changes
-    nothing.  Returns the simplified problem, the merged log, which
-    reports the selector-space size before any rewriting and after the
-    last one, and the classification of the simplified problem.
+    ``classification`` is ``classify_all(problem)``; every row must be
+    feasible, or :class:`InfeasibleRowError` is raised.  Zeroing an inert
+    cell leaves it inert and every other cell as it was, so rule two reads
+    the same classification as rule one and the result is classified
+    once per pass.  With ``fixpoint=True`` the pair is repeated until a
+    full pass changes nothing.  Returns the simplified problem, the
+    merged log, which reports the selector-space size before any
+    rewriting and after the last one, and the classification of the
+    simplified problem.
     """
-    before = choice_space_size(classifications)
+    before = choice_space_size(classification)
     entries: list[SimplificationEntry] = []
     current = problem
     while True:
-        current, log1, classifications = _apply("first", current, classifications)
-        entries.extend(log1.entries)
-        current, log2, classifications = _apply("second", current, classifications)
-        entries.extend(log2.entries)
-        if not fixpoint or (not log1.entries and not log2.entries):
+        classification.require_feasible()
+        zeroed = len(entries)
+        current = _zero(current, "first", classification.inert, entries)
+        dominated = _dominated_cells(current, classification)
+        current = _zero(current, "second", dominated, entries)
+        classification = classify_all(current)
+        if not fixpoint or len(entries) == zeroed:
             break
-    log = SimplificationLog(tuple(entries), before, log2.choices_after)
-    return current, log, classifications
+    log = SimplificationLog(tuple(entries), before, choice_space_size(classification))
+    return current, log, classification

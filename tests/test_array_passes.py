@@ -29,10 +29,7 @@ from wpmfre import (
     enumerate_candidates,
     generate_instance,
     max_solution,
-    row_feasible,
-    simplify_first,
     simplify_pipeline,
-    simplify_second,
     solve,
     wpm,
     wpm_inverse,
@@ -175,7 +172,7 @@ class TestLevels:
     @given(problems())
     def test_levels_bit_equal_to_scalar_inverse(self, prob):
         classifications = classify_all(prob)
-        if not all(map(row_feasible, classifications)):
+        if classifications.infeasible:
             return
         ms = max_solution(prob, classifications)
         expected = np.ones((prob.m, prob.n))
@@ -188,32 +185,58 @@ class TestLevels:
         assert bits(ms.overall) == bits(expected.min(axis=0))
 
 
+def pipeline_entries(prob, rule):
+    """The pipeline's log entries of one rule, as ``(rule, row, col, old value)``."""
+    _, log, _ = simplify_pipeline(prob, classify_all(prob))
+    return [(e.rule, e.row, e.col, e.old_value) for e in log.entries if e.rule == rule]
+
+
+def masks(classification):
+    groups = (classification.blocking, classification.inert, classification.active)
+    return [group.tobytes() for group in groups]
+
+
 class TestRules:
     @SETTINGS
     @given(problems())
     def test_rule_two_matches_triple_loop(self, prob):
         classifications = classify_all(prob)
-        if not all(map(row_feasible, classifications)):
+        if classifications.infeasible:
             return
-        _, log = simplify_second(prob, classifications)
-        got = [(e.rule, e.row, e.col, e.old_value) for e in log.entries]
         expected = [("second", *cell) for cell in scalar_rule_two(prob, classifications)]
-        assert got == expected
+        assert pipeline_entries(prob, "second") == expected
 
     @SETTINGS
     @given(problems())
     def test_rule_one_zeroes_inert_cells_in_row_order(self, prob):
         classifications = classify_all(prob)
-        if not all(map(row_feasible, classifications)):
+        if classifications.infeasible:
             return
-        _, log = simplify_first(prob, classifications)
         expected = [
             ("first", cls.row, j, float(prob.A[cls.row, j]))
             for cls in classifications
             for j in cls.inert
             if prob.A[cls.row, j] != 0.0
         ]
-        assert [(e.rule, e.row, e.col, e.old_value) for e in log.entries] == expected
+        assert pipeline_entries(prob, "first") == expected
+
+    @SETTINGS
+    @given(problems())
+    def test_rule_one_leaves_every_mask_unchanged(self, prob):
+        # zeroing an inert cell keeps it inert, so rule two may reuse the input's masks
+        classification = classify_all(prob)
+        A = prob.A.copy()
+        A[classification.inert] = 0.0
+        assert masks(classify_all(prob.with_matrix(A))) == masks(classification)
+
+
+class TestInfeasibleRows:
+    @SETTINGS
+    @given(problems())
+    def test_infeasible_rows_match_row_views(self, prob):
+        classification = classify_all(prob)
+        expected = [cls.row for cls in classification if cls.blocking or not cls.active]
+        assert list(classification.infeasible) == expected
 
 
 class TestExactSelectorCounts:

@@ -188,6 +188,15 @@ class TestSimplifyCommand:
         assert main(["simplify", path]) == EXIT_INFEASIBLE
         assert "cannot simplify" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
+    def test_conflicting_rows(self, tmp_path, capsys, flags):
+        # every row is feasible, the system is not; rule two would empty row 1
+        path = write_problem(tmp_path, "conflict.json", conflicting_doc())
+        assert main(["simplify", path, *flags]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot simplify: row 1 is infeasible\n"
+
 
 class TestVerifyCommand:
     def x_max_file(self, golden_problem, tmp_path, wrap):

@@ -16,12 +16,9 @@ from wpmfre import (
     check_membership,
     choice_space_size,
     classify_all,
-    classify_row,
     enumerate_candidates,
     feasible_candidates,
-    global_max_solution,
     max_solution,
-    max_solution_row,
     minimal_solution_row,
     row_composition,
     wpm_inverse,
@@ -76,10 +73,8 @@ class TestMaxSolution:
 
     def test_blocking_row_raises(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
-        with pytest.raises(InfeasibleRowError):
+        with pytest.raises(InfeasibleRowError, match=r"row 0 .*blocking columns \[0\]"):
             max_solution(prob, classify_all(prob))
-        with pytest.raises(InfeasibleRowError, match="row 0"):
-            max_solution_row(prob, classify_row(prob, 0))
 
     def test_row_maxima_reconstruct_targets(self):
         for seed in range(40):
@@ -88,10 +83,6 @@ class TestMaxSolution:
             for i in range(prob.m):
                 value = row_composition(prob.A[i], ms.per_row[i], prob.params)
                 assert value == pytest.approx(prob.b[i], abs=1e-9)
-
-    def test_global_max_is_componentwise_min(self):
-        stacked = np.array([[0.4, 0.9, 1.0], [0.7, 0.2, 1.0]])
-        assert np.array_equal(global_max_solution(stacked), [0.4, 0.2, 1.0])
 
 
 class TestMinimalSolutionRow:

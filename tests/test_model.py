@@ -12,13 +12,17 @@ from wpmfre import (
     classify_all,
     classify_row,
     oracle_feasible,
-    problem_feasible,
     row_composition,
-    row_feasible,
     wpm,
 )
+from wpmfre.optimize import decide_feasibility
 
 P = WpmParams(0.75, 3.0)
+
+
+def feasible(problem):
+    """The whole-system verdict: no infeasible row and ``x_max`` solves the system."""
+    return decide_feasibility(problem)[-1] is None
 
 
 def tiny(A, b, c=None, params=P):
@@ -81,6 +85,17 @@ class TestClassification:
             assert cls.active == GOLDEN["active"][i]
             assert cls.inert == GOLDEN["inert"][i]
 
+    def test_masks_partition_and_rows_are_views(self, golden_problem):
+        classification = classify_all(golden_problem)
+        masks = (classification.blocking, classification.inert, classification.active)
+        assert np.array_equal(sum(mask.astype(int) for mask in masks), np.ones((5, 7)))
+        assert not any(mask.flags.writeable for mask in masks)
+        assert len(classification) == golden_problem.m
+        assert classification[-1] == classification[4] == classify_row(golden_problem, 4)
+        assert [cls.inert for cls in classification] == GOLDEN["inert"]
+        with pytest.raises(IndexError):
+            classification[5]
+
     def test_all_entries_equal_target_all_active(self):
         prob = tiny([[0.6, 0.6, 0.6]], [0.6])
         cls = classify_row(prob, 0)
@@ -132,26 +147,26 @@ class TestClassification:
 
 class TestRowFeasible:
     def test_reference_rows_feasible(self, golden_problem):
-        assert all(row_feasible(cls) for cls in classify_all(golden_problem))
+        assert classify_all(golden_problem).infeasible == ()
 
     def test_blocking_entry_kills_row(self):
         prob = tiny([[1.0]], [0.5])
         cls = classify_row(prob, 0)
         assert cls.blocking == (0,)
-        assert not row_feasible(cls)
+        assert classify_all(prob).infeasible == (0,)
         # direct evidence: the composed value exceeds the target everywhere
         sampled = wpm(1.0, np.linspace(0.0, 1.0, 512), P)
         assert np.min(sampled) > 0.5
 
     def test_zero_row_zero_target_feasible(self):
-        cls = classify_row(tiny([[0.0]], [0.0]), 0)
-        assert row_feasible(cls)
-        assert cls.active == (0,)
+        prob = tiny([[0.0]], [0.0])
+        assert classify_all(prob).infeasible == ()
+        assert classify_row(prob, 0).active == (0,)
 
     def test_no_active_column_kills_row(self):
-        cls = classify_row(tiny([[0.1, 0.05]], [0.99]), 0)
-        assert cls.active == ()
-        assert not row_feasible(cls)
+        prob = tiny([[0.1, 0.05]], [0.99])
+        assert classify_row(prob, 0).active == ()
+        assert classify_all(prob).infeasible == (0,)
 
 
 def conflicting_rows_problem() -> Problem:
@@ -165,17 +180,17 @@ def conflicting_rows_problem() -> Problem:
 
 class TestProblemFeasible:
     def test_reference_feasible(self, golden_problem):
-        assert problem_feasible(golden_problem)
+        assert feasible(golden_problem)
 
     def test_blocking_entry_infeasible(self, golden_problem):
         A = golden_problem.A.copy()
         A[0, 0] = 0.99  # above the first row's blocking threshold
-        assert not problem_feasible(golden_problem.with_matrix(A))
+        assert not feasible(golden_problem.with_matrix(A))
 
     def test_conflicting_rows_infeasible(self):
         prob = conflicting_rows_problem()
-        assert all(row_feasible(cls) for cls in classify_all(prob))
-        assert not problem_feasible(prob)
+        assert classify_all(prob).infeasible == ()
+        assert not feasible(prob)
         # no point on a fine sweep satisfies both rows at once
         grid = np.linspace(0.0, 1.0, 10_001)
         values = wpm(0.7, grid, P)
@@ -185,7 +200,7 @@ class TestProblemFeasible:
     def test_agrees_with_oracle_on_random_instances(self):
         for seed in range(60):
             prob = structure_instance(seed + 70_000)
-            assert problem_feasible(prob) == oracle_feasible(prob) == True  # noqa: E712
+            assert feasible(prob) == oracle_feasible(prob) == True  # noqa: E712
 
     def test_agrees_with_oracle_on_mutated_instances(self):
         # raising one target above every column's reach flips both verdicts
@@ -197,10 +212,10 @@ class TestProblemFeasible:
             i = int(rng.integers(prob.m))
             b[i] = 1.0
             mutated = Problem(prob.A, b, prob.c, prob.params)
-            ours = problem_feasible(mutated)
+            ours = feasible(mutated)
             oracle = oracle_feasible(mutated)
             assert ours == oracle
-            flips += ours != problem_feasible(prob)
+            flips += ours != feasible(prob)
         assert flips > 0
 
     def test_reconstruction_at_maximum(self, golden_problem):

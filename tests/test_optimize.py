@@ -1,4 +1,4 @@
-"""Cost splitting, candidate scan, and end-to-end solver tests."""
+"""Candidate scan, assembly and end-to-end solver tests."""
 
 import importlib
 from collections import Counter
@@ -8,6 +8,7 @@ import pytest
 from conftest import GOLDEN, GOLDEN_PATH, structure_instance
 
 import wpmfre.lattice
+import wpmfre.model
 import wpmfre.optimize
 import wpmfre.simplify
 from wpmfre import (
@@ -16,7 +17,6 @@ from wpmfre import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     Candidates,
-    CostSplit,
     InfeasibleProblemError,
     Problem,
     WpmParams,
@@ -72,28 +72,14 @@ def conflicting_rows_problem():
     return tiny([[a], [a]], [wpm(a, 0.3, P), wpm(a, 0.6, P)])
 
 
-class TestCostSplit:
-    def test_split_reassembles_exactly(self):
-        c = np.array([-7.5, 0.0, 3.25, -0.001, 12.0])
-        split = CostSplit.from_costs(c)
-        assert np.array_equal(split.positive + split.negative, c)
-        assert np.all(split.positive >= 0.0)
-        assert np.all(split.negative <= 0.0)
-
-    def test_zero_vector(self):
-        split = CostSplit.from_costs(np.zeros(3))
-        assert np.array_equal(split.positive, np.zeros(3))
-        assert np.array_equal(split.negative, np.zeros(3))
-
-
 class TestSolveZ2:
     def golden_distinct(self, golden_problem):
         cls = classify_all(golden_problem)
         return feasible_candidates(enumerate_candidates(golden_problem, cls))
 
     def test_golden_winner(self, golden_problem):
-        split = CostSplit.from_costs(golden_problem.c)
-        choice, point = solve_z2(self.golden_distinct(golden_problem), split.positive)
+        c_positive = np.maximum(golden_problem.c, 0.0)
+        choice, point = solve_z2(self.golden_distinct(golden_problem), c_positive)
         assert choice == GOLDEN["e_star"]
         assert point == pytest.approx(GOLDEN["candidate_points"][0], abs=1e-4)
 
@@ -255,7 +241,7 @@ class TestDecideFeasibility:
     def test_golden_feasible(self, golden_problem):
         cls, x_max, residuals, diagnostic = decide_feasibility(golden_problem)
         assert diagnostic is None
-        assert cls == classify_all(golden_problem)
+        assert list(cls) == list(classify_all(golden_problem))
         assert np.array_equal(x_max, max_solution(golden_problem, cls).overall)
         assert np.array_equal(residuals, check_membership(golden_problem, x_max)[1])
 
@@ -274,7 +260,8 @@ class TestWorkCount:
     """``solve`` classifies and checks membership a fixed number of times.
 
     Neither ``solve`` nor the feasibility decision calls the scalar
-    inverse: every level comes from one array pass.
+    inverse: every level comes from one array pass.  A feasible ``solve``
+    reads the classification masks and builds no per-row tuple view.
     """
 
     @staticmethod
@@ -292,7 +279,7 @@ class TestWorkCount:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
 
-    @pytest.mark.parametrize("simplify, classify_calls", [(True, 3), (False, 1)])
+    @pytest.mark.parametrize("simplify, classify_calls", [(True, 2), (False, 1)])
     @pytest.mark.parametrize(
         "make",
         [lambda: load_problem(str(GOLDEN_PATH)), lambda: generate_instance(12, 12, P, 0)],
@@ -308,12 +295,13 @@ class TestWorkCount:
                 (wpmfre.optimize, "check_membership"),
                 (wpmfre.lattice, "wpm_inverse"),
                 (WPM_MODULE, "wpm_inverse"),
+                (wpmfre.model, "RowClassification"),
             ],
         )
         report = solve(prob, simplify=simplify)
         assert report.status == STATUS_OPTIMAL
         assert calls == {"classify_all": classify_calls, "check_membership": 2}
-        assert calls["wpm_inverse"] == 0
+        assert calls["wpm_inverse"] == calls["RowClassification"] == 0
 
     @pytest.mark.parametrize(
         "make",

@@ -1,5 +1,8 @@
 """Brute-force oracle tests and solver-vs-oracle differential checks."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from conftest import GOLDEN, structure_instance
@@ -21,9 +24,10 @@ from wpmfre import (
     grid_feasible_set,
     max_solution,
     oracle_feasible,
-    problem_feasible,
     wpm,
 )
+import wpmfre.oracle
+from wpmfre.optimize import decide_feasibility
 
 P = WpmParams(0.75, 3.0)
 
@@ -33,9 +37,40 @@ def tiny(A, b, params=P):
     return Problem(A, np.asarray(b, dtype=float), np.zeros(A.shape[1]), params)
 
 
+def feasible(problem):
+    return decide_feasibility(problem)[-1] is None
+
+
 def conflicting_rows_problem():
     a = 0.7
     return tiny([[a], [a]], [wpm(a, 0.3, P), wpm(a, 0.6, P)])
+
+
+class TestIndependence:
+    # what the oracle may take from the package: the errors, the problem
+    # container, and the operator with its tolerances (None: any name)
+    ALLOWED = {
+        "errors": None,
+        "model": {"Problem"},
+        "wpm": {"wpm", "CLASSIFY_TOL", "FEASIBILITY_TOL"},
+    }
+
+    def test_imports_only_the_definitions(self):
+        source = pathlib.Path(wpmfre.oracle.__file__).read_text(encoding="utf-8")
+        imported = {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "wpmfre" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "wpmfre"
+                if node.level:
+                    assert node.level == 1, ast.dump(node)
+                    imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        assert set(imported) <= set(self.ALLOWED)
+        for module, names in imported.items():
+            allowed = self.ALLOWED[module]
+            assert allowed is None or names <= allowed, (module, names - allowed)
+        assert imported["model"] == {"Problem"}
 
 
 class TestCheckMembership:
@@ -199,7 +234,7 @@ class TestDifferential:
         for seed in range(200):
             prob = structure_instance(seed + 7000)
             slow = oracle_feasible(prob)
-            fast = problem_feasible(prob)
+            fast = feasible(prob)
             assert slow == fast, seed
             verdicts.append(slow)
         assert any(verdicts)
@@ -210,10 +245,10 @@ class TestDifferential:
         bumped[0, 0] = 0.99
         blocked = golden_problem.with_matrix(bumped)
         assert not oracle_feasible(blocked)
-        assert not problem_feasible(blocked)
+        assert not feasible(blocked)
         conflict = conflicting_rows_problem()
         assert not oracle_feasible(conflict)
-        assert not problem_feasible(conflict)
+        assert not feasible(conflict)
 
     def test_candidates_agree_on_random_instances(self):
         checked = 0
