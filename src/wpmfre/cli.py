@@ -20,7 +20,6 @@ from .errors import (
     BudgetError,
     DimensionError,
     DomainError,
-    InfeasibleRowError,
     ParameterDomainError,
     ProblemFormatError,
 )
@@ -30,6 +29,7 @@ from .io import (
     load_point,
     load_problem,
     problem_dumps,
+    problem_to_dict,
     report_dumps,
 )
 from .lattice import DEFAULT_CHOICE_LIMIT
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simp = sub.add_parser("simplify", help="print the simplified instance")
     p_simp.add_argument("problem")
-    p_simp.add_argument("--fixpoint", action="store_true")
 
     p_verify = sub.add_parser("verify", help="check a point against an instance")
     p_verify.add_argument("problem")
@@ -154,19 +153,10 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
         row = diagnostic.get("row", diagnostic.get("worst_row"))
         print(f"cannot simplify: row {row} is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
-    try:
-        simplified, log, _ = simplify_pipeline(
-            problem, classification, fixpoint=args.fixpoint
-        )
-    except InfeasibleRowError as exc:
-        print(f"cannot simplify: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    simplified, log, _ = simplify_pipeline(problem, classification)
     print(
         json.dumps(
-            {
-                "problem": json.loads(problem_dumps(simplified)),
-                "log": _log_to_dict(log),
-            },
+            {"problem": problem_to_dict(simplified), "log": _log_to_dict(log)},
             indent=2,
         )
     )

@@ -52,10 +52,14 @@ DEFAULT_CHOICE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class MaxSolution:
-    """Row maxima stacked as an m x n matrix plus their componentwise min."""
+    """Row maxima stacked as an m x n matrix, their componentwise min, and
+    ``fits``: the active entries whose level is at most ``overall`` in
+    their column, within ``CLASSIFY_TOL``.
+    """
 
     per_row: np.ndarray
     overall: np.ndarray
+    fits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,16 @@ class Candidates:
 
 
 def max_solution(problem: Problem, classification: Classification) -> MaxSolution:
-    """Row maxima and ``x_max``, from one pass over every entry's level.
+    """Row maxima, ``x_max`` and the fit mask, from one pass over every entry's level.
 
     Raises :class:`InfeasibleRowError` when some row admits no solution.
     """
     classification.require_feasible()
     levels = inverse_levels(problem.A, problem.b, problem.params)
     per_row = np.where(classification.active, levels, 1.0)
-    return MaxSolution(per_row=per_row, overall=per_row.min(axis=0))
+    overall = per_row.min(axis=0)
+    fits = classification.active & (per_row <= overall + CLASSIFY_TOL)
+    return MaxSolution(per_row=per_row, overall=overall, fits=fits)
 
 
 def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
@@ -176,7 +182,7 @@ def enumerate_candidates(
         # into (blocks, position in cols, stride)
         grid = (required // (len(cols) * stride), len(cols), stride)
         level = ms.per_row[i, cols]
-        fits = level <= ms.overall[cols] + CLASSIFY_TOL
+        fits = ms.fits[i, cols]
         choices[:, i].reshape(grid)[...] = np.reshape(cols, (1, -1, 1))
         feasible.reshape(grid)[...] &= fits.reshape(1, -1, 1)
         corners = points.reshape(grid + (problem.n,))

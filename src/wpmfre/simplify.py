@@ -4,19 +4,19 @@ Two rewrites zero out matrix entries without changing the solution set:
 
   * First rule: every inert entry is set to 0.  An inert column cannot
     reach its row's target at any ``x``, so its coefficient is noise.
-  * Second rule: an entry ``A[k, j0]`` active in row ``k`` is set to 0
-    when some other row ``i`` also has ``j0`` active with
-    ``b[i]**p - b[k]**p < w * (A[i, j0]**p - A[k, j0]**p)``, i.e. row
-    ``i`` pins column ``j0`` strictly below the value row ``k`` would
-    need, so no solution ever satisfies row ``k`` through ``j0``.
+  * Second rule: an active entry ``A[k, j]`` that does not fit is set to
+    0, i.e. its level exceeds ``x_max[j]`` by more than ``CLASSIFY_TOL``:
+    some other row pins column ``j`` below the value row ``k`` would
+    need, so no solution ever satisfies row ``k`` through ``j``.  This
+    is the fit test of ``enumerate_candidates``, read from the same
+    mask.  A row with no fitting entry has no corner at all; it is left
+    as it is, for enumeration to report as stranded.
 
 Zeroing an active entry removes it from the row's active set and thus
-multiplies down the selector-space size.  Rule-two eligibility is decided
-for all pairs against the pre-rule matrix, by an array pass per column
-over its active rows, and the zeros are applied in one batch in row-major
-order; the strict inequality is tested with a ``CLASSIFY_TOL`` margin so
-knife-edge pairs are left alone.  The pipeline applies rule one then rule
-two, once each; an optional flag repeats the pair until a fixpoint.
+multiplies down the selector-space size.  Both rules read the input's
+classification, and their zeros are applied in one batch: rule one's in
+row-major order, then rule two's.  Fitting entries keep their levels and
+``x_max`` does not move, so a second pass would zero nothing.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import choice_space_size
+from .lattice import choice_space_size, max_solution
 from .model import Classification, Problem, classify_all
-from .wpm import CLASSIFY_TOL
 
 __all__ = [
     "SimplificationEntry",
@@ -56,62 +55,28 @@ class SimplificationLog:
     choices_after: int
 
 
-def _dominated_cells(problem: Problem, classification: Classification) -> np.ndarray:
-    """Mask of the active cells ``(k, j)`` that rule two zeroes."""
-    w, p = problem.params.w, problem.params.p
-    b_pow = problem.b**p
-    a_pow = np.float_power(problem.A, p)
-    active = classification.active
-    doomed = np.zeros_like(active)
-    for j in np.flatnonzero(np.count_nonzero(active, axis=0) > 1).tolist():
-        rows = np.flatnonzero(active[:, j])
-        bp, ap = b_pow[rows], a_pow[rows, j]
-        # [k, i]: row i pins column j below what row k needs; False when i == k
-        pinned = bp - bp[:, None] < w * (ap - ap[:, None]) - CLASSIFY_TOL
-        doomed[rows, j] = pinned.any(axis=1)
-    return doomed
-
-
-def _zero(
-    problem: Problem, rule: str, cells: np.ndarray, entries: list[SimplificationEntry]
-) -> Problem:
-    """Zero the nonzero ``cells`` and log each in row-major order."""
-    A = problem.A.copy()
-    rows, cols = np.nonzero(cells & (A != 0.0))
-    values = A[rows, cols].tolist()
-    entries.extend(map(SimplificationEntry, repeat(rule), rows.tolist(), cols.tolist(), values))
-    A[rows, cols] = 0.0
-    return problem.with_matrix(A)
-
-
 def simplify_pipeline(
-    problem: Problem,
-    classification: Classification,
-    fixpoint: bool = False,
+    problem: Problem, classification: Classification
 ) -> tuple[Problem, SimplificationLog, Classification]:
-    """Apply the first then the second rule, once each by default.
+    """Apply the first and the second rule in one batch.
 
     ``classification`` is ``classify_all(problem)``; every row must be
-    feasible, or :class:`InfeasibleRowError` is raised.  Zeroing an inert
-    cell leaves it inert and every other cell as it was, so rule two reads
-    the same classification as rule one and the result is classified
-    once per pass.  With ``fixpoint=True`` the pair is repeated until a
-    full pass changes nothing.  Returns the simplified problem, the
-    merged log, which reports the selector-space size before any
-    rewriting and after the last one, and the classification of the
-    simplified problem.
+    feasible, or :class:`InfeasibleRowError` is raised.  Returns the
+    simplified problem, the log, which reports the selector-space size
+    before and after, and the classification of the simplified problem.
     """
-    before = choice_space_size(classification)
+    fits = max_solution(problem, classification).fits
+    doomed = classification.active & ~fits & fits.any(axis=1)[:, None]
+    A = problem.A.copy()
     entries: list[SimplificationEntry] = []
-    current = problem
-    while True:
-        classification.require_feasible()
-        zeroed = len(entries)
-        current = _zero(current, "first", classification.inert, entries)
-        dominated = _dominated_cells(current, classification)
-        current = _zero(current, "second", dominated, entries)
-        classification = classify_all(current)
-        if not fixpoint or len(entries) == zeroed:
-            break
-    log = SimplificationLog(tuple(entries), before, choice_space_size(classification))
-    return current, log, classification
+    for rule, cells in (("first", classification.inert), ("second", doomed)):
+        rows, cols = np.nonzero(cells & (A != 0.0))
+        values = A[rows, cols].tolist()
+        entries += map(SimplificationEntry, repeat(rule), rows.tolist(), cols.tolist(), values)
+        A[rows, cols] = 0.0
+    simplified = problem.with_matrix(A)
+    after = classify_all(simplified)
+    log = SimplificationLog(
+        tuple(entries), choice_space_size(classification), choice_space_size(after)
+    )
+    return simplified, log, after

@@ -7,7 +7,9 @@ over the whole parameter domain ``0 < w < 1``, ``0.02 <= p <= 200``, with
 entries exactly 0 and 1 and ``A == b == t`` ties drawn often.  Levels and
 rule-two cells must agree bit for bit and in the same order: the array
 passes use ``np.float_power`` where the scalar code raises a single value
-to a power, and it rounds as Python's ``**`` does.
+to a power, and it rounds as Python's ``**`` does.  On the same instances,
+with costs drawn, ``solve`` must report the same with and without
+simplification.
 """
 
 import warnings
@@ -20,7 +22,9 @@ from hypothesis import strategies as st
 from wpmfre import (
     CLASSIFY_TOL,
     EnumerationBudgetError,
+    MembershipError,
     Problem,
+    STATUS_BUDGET_EXCEEDED,
     STATUS_OPTIMAL,
     WpmParams,
     choice_space_size,
@@ -107,19 +111,23 @@ def scalar_level(a, t, params):
 
 
 def scalar_rule_two(prob, classifications):
-    """The literal triple loop of rule two: ``(row, col, old value)`` in order."""
-    w, p = prob.params.w, prob.params.p
-    b_pow = prob.b**p
-    active = [set(cls.active) for cls in classifications]
+    """Rule two entry by entry in Python floats: ``(row, col, old value)`` in order.
+
+    An active entry is zeroed when its level exceeds its column's minimum
+    level over the active rows by more than ``CLASSIFY_TOL``, but only in
+    a row that keeps at least one active entry within that bound.
+    """
+    levels = {
+        (cls.row, j): scalar_level(float(prob.A[cls.row, j]), float(prob.b[cls.row]), prob.params)
+        for cls in classifications
+        for j in cls.active
+    }
+    x_max = [min([v for (_, j), v in levels.items() if j == col], default=1.0) for col in range(prob.n)]
     cells = []
-    for k, cls in enumerate(classifications):
-        for j in cls.active:
-            for i in range(prob.m):
-                if i == k or j not in active[i]:
-                    continue
-                if b_pow[i] - b_pow[k] < w * (prob.A[i, j] ** p - prob.A[k, j] ** p) - CLASSIFY_TOL:
-                    cells.append((k, j, float(prob.A[k, j])))
-                    break
+    for cls in classifications:
+        doomed = [j for j in cls.active if levels[cls.row, j] > x_max[j] + CLASSIFY_TOL]
+        if len(doomed) < len(cls.active):
+            cells += [(cls.row, j, float(prob.A[cls.row, j])) for j in doomed]
     return [cell for cell in cells if cell[2] != 0.0]
 
 
@@ -199,7 +207,7 @@ def masks(classification):
 class TestRules:
     @SETTINGS
     @given(problems())
-    def test_rule_two_matches_triple_loop(self, prob):
+    def test_rule_two_matches_scalar_fit_test(self, prob):
         classifications = classify_all(prob)
         if classifications.infeasible:
             return
@@ -228,6 +236,54 @@ class TestRules:
         A = prob.A.copy()
         A[classification.inert] = 0.0
         assert masks(classify_all(prob.with_matrix(A))) == masks(classification)
+
+    @SETTINGS
+    @given(problems())
+    def test_second_pass_zeroes_nothing(self, prob):
+        classification = classify_all(prob)
+        if classification.infeasible:
+            return
+        once, log, after = simplify_pipeline(prob, classification)
+        again, log_again, _ = simplify_pipeline(once, after)
+        assert log_again.entries == ()
+        assert log_again.choices_before == log_again.choices_after == log.choices_after
+        assert bits(again.A) == bits(once.A)
+
+
+def solve_outcome(prob, simplify):
+    """What ``solve`` reports, or the ``MembershipError`` it raises."""
+    try:
+        report = solve(prob, simplify=simplify)
+    except MembershipError as exc:
+        return ("MembershipError", str(exc))
+    x_star = None if report.x_star is None else bits(report.x_star)
+    return (
+        report.status,
+        x_star,
+        report.z_star,
+        report.e_star,
+        report.candidates_feasible,
+        report.diagnostic,
+    )
+
+
+@st.composite
+def costed_problems(draw):
+    prob = draw(problems())
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=prob.n, max_size=prob.n))
+    return Problem(prob.A, prob.b, c, prob.params)
+
+
+class TestSolvePaths:
+    @SETTINGS
+    @given(costed_problems())
+    def test_simplified_and_raw_solve_agree(self, prob):
+        # rule two zeroes exactly the active entries that enumeration finds
+        # do not fit, so the simplified path reports what the raw path does
+        simplified, raw = solve_outcome(prob, True), solve_outcome(prob, False)
+        if STATUS_BUDGET_EXCEEDED in (simplified[0], raw[0]):
+            return
+        assert simplified == raw
 
 
 class TestInfeasibleRows:

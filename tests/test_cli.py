@@ -1,6 +1,10 @@
 """Command-line interface tests, run in process through main()."""
 
+import argparse
+import itertools
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,12 +19,15 @@ from wpmfre.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    build_parser,
     main,
 )
 
 P = WpmParams(0.75, 3.0)
 
 GOLDEN_ARG = str(GOLDEN_PATH)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_problem(tmp_path, name, doc):
@@ -179,20 +186,21 @@ class TestSimplifyCommand:
             assert A[row, col] == 0.0
 
     def test_fixpoint_flag(self, capsys):
-        assert main(["simplify", GOLDEN_ARG, "--fixpoint"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["log"]["choices_after"] == GOLDEN["choices_after"]
+        # one pass reaches the fixpoint, and the flag that repeated it is gone
+        with pytest.raises(SystemExit) as info:
+            main(["simplify", GOLDEN_ARG, "--fixpoint"])
+        assert info.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --fixpoint" in capsys.readouterr().err
 
     def test_infeasible_instance(self, tmp_path, capsys):
         path = write_problem(tmp_path, "blocked.json", blocking_doc())
         assert main(["simplify", path]) == EXIT_INFEASIBLE
         assert "cannot simplify" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
-    def test_conflicting_rows(self, tmp_path, capsys, flags):
-        # every row is feasible, the system is not; rule two would empty row 1
+    def test_conflicting_rows(self, tmp_path, capsys):
+        # every row is feasible, the system is not
         path = write_problem(tmp_path, "conflict.json", conflicting_doc())
-        assert main(["simplify", path, *flags]) == EXIT_INFEASIBLE
+        assert main(["simplify", path]) == EXIT_INFEASIBLE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "cannot simplify: row 1 is infeasible\n"
@@ -266,6 +274,30 @@ class TestInputErrors:
         path.write_text("not json at all", encoding="utf-8")
         assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestReadmeSynopsis:
+    def test_options_match_parser(self):
+        """README's ``## CLI`` synopsis names every subcommand's arguments."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+        documented = {}
+        for line in block.splitlines():
+            _, command, *words = line.split()
+            positionals = list(itertools.takewhile(str.isupper, words))
+            documented[command] = (positionals, sorted(re.findall(r"--[a-z-]+", line)))
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        actual = {}
+        for command, parser in subparsers.choices.items():
+            args = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            positionals = [a.dest.upper() for a in args if not a.option_strings]
+            options = sorted(o for a in args for o in a.option_strings)
+            actual[command] = (positionals, options)
+        assert documented == actual
 
 
 class TestModuleEntryPoint:

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from wpmfre import Problem, WpmParams, problem_dumps, wpm
+from wpmfre import Problem, WpmFreError, WpmParams, problem_dumps, wpm
 from wpmfre.cli import main
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "data" / "digests.json"
@@ -89,7 +89,7 @@ def run_digest(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             outcome = str(main(argv))
-        except Exception as exc:  # a raise is an outcome too, and is pinned
+        except WpmFreError as exc:  # a raise is an outcome too, and is pinned
             outcome = f"{type(exc).__name__}: {exc}"
     text = "\n".join([outcome, err.getvalue(), TIMING.sub("", out.getvalue())])
     return hashlib.sha256(text.encode()).hexdigest()

@@ -6,16 +6,21 @@ from conftest import GOLDEN, row_values, structure_instance
 
 from wpmfre import (
     CLASSIFY_TOL,
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
     InfeasibleRowError,
     Problem,
     WpmParams,
     choice_space_size,
     classify_all,
     enumerate_candidates,
+    exhaustive_candidates,
     feasible_candidates,
     max_solution,
     row_composition,
     simplify_pipeline,
+    solve,
+    wpm,
 )
 
 P = WpmParams(0.75, 3.0)
@@ -103,6 +108,16 @@ class TestSecondRule:
         assert lhs == pytest.approx(0.0403, abs=1e-3)
         assert rhs == pytest.approx(0.1184, abs=1e-3)
         assert lhs < rhs - CLASSIFY_TOL
+        # ... which is to say that its level does not fit under x_max[2]
+        ms = max_solution(golden_problem, classify_all(golden_problem))
+        assert ms.per_row[0, 2] > ms.overall[2] + CLASSIFY_TOL
+        assert not ms.fits[0, 2] and ms.fits[3, 2]
+
+    def test_golden_removals_are_the_unfitting_active_entries(self, golden_problem):
+        cls = classify_all(golden_problem)
+        fits = max_solution(golden_problem, cls).fits
+        unfitting = {tuple(cell) for cell in np.argwhere(cls.active & ~fits).tolist()}
+        assert unfitting == GOLDEN["second_rule_removals"]
 
     def test_identical_rows_not_removed(self):
         b = row_composition(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P)
@@ -141,18 +156,8 @@ class TestPipeline:
         assert log.choices_before == log.choices_after == GOLDEN["choices_after"]
         assert np.array_equal(again.A, simplified.A)
 
-    def test_golden_fixpoint_matches_single_pass(self, golden_problem):
-        cls = classify_all(golden_problem)
-        once, log_once, _ = simplify_pipeline(golden_problem, cls)
-        fixed, log_fixed, _ = simplify_pipeline(golden_problem, cls, fixpoint=True)
-        assert np.array_equal(once.A, fixed.A)
-        assert log_fixed.entries == log_once.entries
-        assert log_fixed.choices_after == log_once.choices_after
-
-    @pytest.mark.parametrize("fixpoint", [False, True])
-    def test_returns_classification_of_result(self, golden_problem, fixpoint):
-        cls = classify_all(golden_problem)
-        simplified, _, after = simplify_pipeline(golden_problem, cls, fixpoint=fixpoint)
+    def test_returns_classification_of_result(self, golden_problem):
+        simplified, _, after = simplify_pipeline(golden_problem, classify_all(golden_problem))
         assert list(after) == list(classify_all(simplified))
 
     def test_single_row_uses_only_first_rule(self):
@@ -199,3 +204,42 @@ class TestPreservation:
                 assert set(cls_a.active) <= set(cls_b.active)
             assert log.choices_after <= log.choices_before
             assert log.choices_after == choice_space_size(after)
+
+
+class TestSolvePathsAgree:
+    """Rule two zeroes only what enumeration would reject anyway."""
+
+    def test_knife_edge_entry_kept(self):
+        # (1, 2) exceeds x_max[2] by 9.9e-10, inside CLASSIFY_TOL, and is
+        # the cheapest corner's column; a b**p-space margin used to zero it
+        A = [
+            [0.12245481138711845, 1.0, 0.5971247975846246],
+            [0.38869056989416706, 0.48734122987881145, 0.6891981655879991],
+        ]
+        b = [0.7144031426504925, 0.7272827644506391]
+        c = [0.5228572182362361, 0.8412309011710783, 0.8097918238508375]
+        prob = Problem(A, b, c, WpmParams(0.1477402252634644, 1.4773469572384912))
+        simplified, raw = solve(prob), solve(prob, simplify=False)
+        assert simplified.z_star == raw.z_star == pytest.approx(0.59421522132196, abs=1e-12)
+        assert simplified.x_star.tobytes() == raw.x_star.tobytes()
+        oracle = min(
+            float(prob.c @ cand.point) for cand in exhaustive_candidates(prob) if cand.feasible
+        )
+        assert oracle == pytest.approx(0.59421522132196, abs=1e-9)
+
+    def test_tiny_entry_does_not_empty_a_row(self):
+        prob = Problem([[1e-9], [1.0]], [0.0, 0.25], [1.0], WpmParams(0.5, 0.5))
+        for simplify in (True, False):
+            report = solve(prob, simplify=simplify)
+            assert report.status == STATUS_OPTIMAL
+            assert report.z_star == 0.0
+
+    def test_near_conflicting_rows_reported_not_raised(self):
+        # x_max misses row 1 by 5.5e-9, inside FEASIBILITY_TOL, and row 1's
+        # one entry does not fit: no corner, on both paths
+        b = [wpm(0.7, 0.3, P), wpm(0.7, 0.3 + 1e-7, P)]
+        prob = Problem([[0.7], [0.7]], b, [0.0], P)
+        for simplify in (True, False):
+            report = solve(prob, simplify=simplify)
+            assert report.status == STATUS_INFEASIBLE
+            assert report.diagnostic == {"reason": "no_corner_under_x_max", "rows": [1]}
