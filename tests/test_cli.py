@@ -197,10 +197,12 @@ class TestSimplifyCommand:
         assert main(["simplify", path]) == EXIT_INFEASIBLE
         assert "cannot simplify" in capsys.readouterr().err
 
-    def test_conflicting_rows(self, tmp_path, capsys):
-        # every row is feasible, the system is not
+    @pytest.mark.parametrize("flags", [[], ["--"]])
+    def test_conflicting_rows(self, tmp_path, capsys, flags):
+        # every row is feasible, the system is not; a path after the
+        # end-of-options marker reads the same
         path = write_problem(tmp_path, "conflict.json", conflicting_doc())
-        assert main(["simplify", path]) == EXIT_INFEASIBLE
+        assert main(["simplify", *flags, path]) == EXIT_INFEASIBLE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "cannot simplify: row 1 is infeasible\n"

@@ -156,8 +156,11 @@ class TestPipeline:
         assert log.choices_before == log.choices_after == GOLDEN["choices_after"]
         assert np.array_equal(again.A, simplified.A)
 
-    def test_returns_classification_of_result(self, golden_problem):
+    @pytest.mark.parametrize("second_pass", [False, True])
+    def test_returns_classification_of_result(self, golden_problem, second_pass):
         simplified, _, after = simplify_pipeline(golden_problem, classify_all(golden_problem))
+        if second_pass:
+            simplified, _, after = simplify_pipeline(simplified, after)
         assert list(after) == list(classify_all(simplified))
 
     def test_single_row_uses_only_first_rule(self):
