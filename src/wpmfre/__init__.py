@@ -48,7 +48,6 @@ from .model import (
     Problem,
     RowClassification,
     classify_all,
-    classify_row,
 )
 from .optimize import (
     STATUS_BUDGET_EXCEEDED,
@@ -121,7 +120,6 @@ __all__ = [
     "check_membership",
     "choice_space_size",
     "classify_all",
-    "classify_row",
     "enumerate_candidates",
     "exhaustive_candidates",
     "feasible_candidates",

@@ -38,7 +38,10 @@ _FIELDS = ("w", "p", "A", "b", "c")
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProblemFormatError(f"{where} is too large for a float") from None
 
 
 def _as_vector(value: Any, name: str) -> list[float]:
@@ -65,14 +68,20 @@ def _as_matrix(value: Any, name: str) -> list[list[float]]:
     return rows
 
 
-def parse_problem(document: str) -> Problem:
-    """Parse a problem file; diagnostics name the offending field and cell."""
+def _load_json(document: str) -> Any:
     try:
-        doc = json.loads(document)
+        return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+        raise ProblemFormatError(f"invalid JSON: {exc}") from None
+
+
+def parse_problem(document: str) -> Problem:
+    """Parse a problem file; diagnostics name the offending field and cell."""
+    doc = _load_json(document)
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     missing = [f for f in _FIELDS if f not in doc]
@@ -110,12 +119,7 @@ def problem_dumps(problem: Problem) -> str:
 
 def parse_point(document: str) -> np.ndarray:
     """Parse a point file: either a bare array or an object with field "x"."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _load_json(document)
     if isinstance(doc, dict):
         if "x" not in doc:
             raise ProblemFormatError('point object must carry field "x"')

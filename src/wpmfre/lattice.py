@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetError, InactiveColumnError
-from .model import Classification, Problem, classify_row
+from .model import Classification, Problem, classify_all
 from .wpm import CLASSIFY_TOL, inverse_levels, wpm_inverse
 
 __all__ = [
@@ -132,7 +132,7 @@ def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
     The inverse value at position ``j`` and 0 elsewhere.  ``j`` must be an
     active column of row ``i``.
     """
-    cls = classify_row(problem, i)
+    cls = classify_all(problem)[i]
     if j not in cls.active:
         raise InactiveColumnError(
             f"column {j} is not active in row {i} (active: {list(cls.active)})"

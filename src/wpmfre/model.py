@@ -39,7 +39,6 @@ __all__ = [
     "Problem",
     "RowClassification",
     "Classification",
-    "classify_row",
     "classify_all",
 ]
 
@@ -120,7 +119,9 @@ class Classification:
     ``blocking``, ``inert`` and ``active`` are read-only ``(m, n)`` masks
     that partition the entries, and ``infeasible`` lists the rows with a
     blocking column or no active column.  ``len()``, indexing and
-    iteration see the rows as :class:`RowClassification`.
+    iteration see the rows as :class:`RowClassification`.  In the
+    classification that ``simplify_pipeline`` returns, "inert" also
+    covers rule two's entries: active ones that no solution attains.
     """
 
     blocking: np.ndarray
@@ -153,11 +154,6 @@ class Classification:
                 f"blocking columns {list(cls.blocking)}, "
                 f"{len(cls.active)} active columns",
             )
-
-
-def classify_row(problem: Problem, i: int) -> RowClassification:
-    """Sort the columns of row ``i`` into blocking, inert and active groups."""
-    return classify_all(problem)[i]
 
 
 def classify_all(problem: Problem) -> Classification:

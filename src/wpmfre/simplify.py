@@ -12,23 +12,25 @@ Two rewrites zero out matrix entries without changing the solution set:
     mask.  A row with no fitting entry has no corner at all; it is left
     as it is, for enumeration to report as stranded.
 
-Zeroing an active entry removes it from the row's active set and thus
-multiplies down the selector-space size.  Both rules read the input's
-classification, and their zeros are applied in one batch: rule one's in
-row-major order, then rule two's.  Fitting entries keep their levels and
-``x_max`` does not move, so a second pass would zero nothing.
+Both rules read the input's classification, and their zeros are applied
+in one batch: rule one's in row-major order, then rule two's.  The
+classification returned is the input's with rule two's entries moved
+from active to inert, which multiplies down the selector-space size; a
+zero coefficient can be active again where ``b[i]**p <= 1 - w``, but it
+never fits.  Fitting entries keep their levels and ``x_max`` does not
+move, so a second pass would zero nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import choice_space_size, max_solution
-from .model import Classification, Problem, classify_all
+from .model import Classification, Problem
 
 __all__ = [
     "SimplificationEntry",
@@ -62,8 +64,8 @@ def simplify_pipeline(
 
     ``classification`` is ``classify_all(problem)``; every row must be
     feasible, or :class:`InfeasibleRowError` is raised.  Returns the
-    simplified problem, the log, which reports the selector-space size
-    before and after, and the classification of the simplified problem.
+    simplified problem, the log with the selector-space size before and
+    after, and ``classification`` with rule two's entries made inert.
     """
     fits = max_solution(problem, classification).fits
     doomed = classification.active & ~fits & fits.any(axis=1)[:, None]
@@ -74,9 +76,9 @@ def simplify_pipeline(
         values = A[rows, cols].tolist()
         entries += map(SimplificationEntry, repeat(rule), rows.tolist(), cols.tolist(), values)
         A[rows, cols] = 0.0
-    simplified = problem.with_matrix(A)
-    after = classify_all(simplified)
-    log = SimplificationLog(
-        tuple(entries), choice_space_size(classification), choice_space_size(after)
+    after = replace(
+        classification, inert=classification.inert | doomed, active=classification.active & ~doomed
     )
-    return simplified, log, after
+    before = choice_space_size(classification)
+    log = SimplificationLog(tuple(entries), before, choice_space_size(after))
+    return problem.with_matrix(A), log, after

@@ -29,7 +29,6 @@ from wpmfre import (
     WpmParams,
     choice_space_size,
     classify_all,
-    classify_row,
     enumerate_candidates,
     generate_instance,
     max_solution,
@@ -110,12 +109,12 @@ def scalar_level(a, t, params):
     return min((max(numerator, 0.0) / (1.0 - w)) ** (1.0 / p), 1.0)
 
 
-def scalar_rule_two(prob, classifications):
-    """Rule two entry by entry in Python floats: ``(row, col, old value)`` in order.
+def scalar_rule_two_cells(prob, classifications):
+    """Rule two entry by entry in Python floats: ``(row, col)`` in order.
 
-    An active entry is zeroed when its level exceeds its column's minimum
-    level over the active rows by more than ``CLASSIFY_TOL``, but only in
-    a row that keeps at least one active entry within that bound.
+    An active entry is taken out when its level exceeds its column's
+    minimum level over the active rows by more than ``CLASSIFY_TOL``, but
+    only in a row that keeps at least one active entry within that bound.
     """
     levels = {
         (cls.row, j): scalar_level(float(prob.A[cls.row, j]), float(prob.b[cls.row]), prob.params)
@@ -127,7 +126,13 @@ def scalar_rule_two(prob, classifications):
     for cls in classifications:
         doomed = [j for j in cls.active if levels[cls.row, j] > x_max[j] + CLASSIFY_TOL]
         if len(doomed) < len(cls.active):
-            cells += [(cls.row, j, float(prob.A[cls.row, j])) for j in doomed]
+            cells += [(cls.row, j) for j in doomed]
+    return cells
+
+
+def scalar_rule_two(prob, classifications):
+    """The cells of rule two that it zeroes: ``(row, col, old value)`` in order."""
+    cells = [(i, j, float(prob.A[i, j])) for i, j in scalar_rule_two_cells(prob, classifications)]
     return [cell for cell in cells if cell[2] != 0.0]
 
 
@@ -144,7 +149,7 @@ class TestClassification:
         assert [(c.blocking, c.inert, c.active) for c in got] == expected
         assert [c.row for c in got] == list(range(prob.m))
         for i in (0, prob.m - 1):
-            assert classify_row(prob, i) == got[i]
+            assert classify_all(prob)[i] == got[i]
 
     def test_entries_one_float_around_every_threshold(self):
         # numpy's array ``**`` rounds some of these thresholds differently
@@ -248,6 +253,35 @@ class TestRules:
         assert log_again.entries == ()
         assert log_again.choices_before == log_again.choices_after == log.choices_after
         assert bits(again.A) == bits(once.A)
+
+
+    @SETTINGS
+    @given(problems())
+    def test_returned_classification_is_the_input_restricted(self, prob):
+        classification = classify_all(prob)
+        if classification.infeasible:
+            return
+        once, _, after = simplify_pipeline(prob, classification)
+        moved = np.zeros((prob.m, prob.n), dtype=bool)
+        for cell in scalar_rule_two_cells(prob, classification):
+            moved[cell] = True
+        # rule two's cells go from active to inert, even where a 0
+        # coefficient is active again; every other cell keeps its group
+        again = classify_all(once)
+        assert after.infeasible == again.infeasible
+        assert np.array_equal(after.blocking, again.blocking)
+        assert np.array_equal(after.inert, again.inert | moved)
+        assert np.array_equal(after.active, again.active & ~moved)
+        # what is left active fits, apart from the rows with no corner
+        stranded = list(enumerate_candidates(once, after).stranded)
+        kept = np.setdiff1d(np.arange(prob.m), stranded)
+        fits = max_solution(once, after).fits
+        assert np.array_equal(fits[kept], after.active[kept])
+        assert not fits[stranded].any()
+        # a second pass keeps the masks and zeroes nothing
+        _, log_again, after_again = simplify_pipeline(once, after)
+        assert log_again.entries == ()
+        assert masks(after_again) == masks(after)
 
 
 def solve_outcome(prob, simplify):

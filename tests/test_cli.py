@@ -278,6 +278,31 @@ class TestInputErrors:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "number, message",
+        [
+            ("1" + "0" * 400, "is too large for a float"),
+            ("1" * 4301, "invalid JSON"),
+            ("[" * 100_000 + "0.5" + "]" * 100_000, "invalid JSON"),
+        ],
+        ids=["overflows-float", "too-many-digits", "nested-too-deeply"],
+    )
+    def test_malformed_number(self, tmp_path, capsys, number, message):
+        problem, point = tmp_path / "problem.json", tmp_path / "point.json"
+        problem.write_text(
+            json.dumps(blocking_doc()).replace("[[1.0]", f"[[{number}]"), encoding="utf-8"
+        )
+        point.write_text(f"[{number}]", encoding="utf-8")
+        runs = [
+            ["feasibility", str(problem)],
+            ["solve", str(problem)],
+            ["verify", GOLDEN_ARG, str(point)],
+        ]
+        for argv in runs:
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert message in capsys.readouterr().err
+
+
 class TestReadmeSynopsis:
     def test_options_match_parser(self):
         """README's ``## CLI`` synopsis names every subcommand's arguments."""

@@ -10,7 +10,6 @@ from wpmfre import (
     Problem,
     WpmParams,
     classify_all,
-    classify_row,
     oracle_feasible,
     row_composition,
     wpm,
@@ -91,14 +90,14 @@ class TestClassification:
         assert np.array_equal(sum(mask.astype(int) for mask in masks), np.ones((5, 7)))
         assert not any(mask.flags.writeable for mask in masks)
         assert len(classification) == golden_problem.m
-        assert classification[-1] == classification[4] == classify_row(golden_problem, 4)
+        assert classification[-1] == classification[4] == classify_all(golden_problem)[4]
         assert [cls.inert for cls in classification] == GOLDEN["inert"]
         with pytest.raises(IndexError):
             classification[5]
 
     def test_all_entries_equal_target_all_active(self):
         prob = tiny([[0.6, 0.6, 0.6]], [0.6])
-        cls = classify_row(prob, 0)
+        cls = classify_all(prob)[0]
         assert cls.active == (0, 1, 2)
         assert cls.blocking == () and cls.inert == ()
 
@@ -106,13 +105,13 @@ class TestClassification:
         target = 0.5
         edge = target / P.blocking_scale
         prob = tiny([[edge]], [target])
-        assert classify_row(prob, 0).active == (0,)
+        assert classify_all(prob)[0].active == (0,)
 
     def test_reachability_threshold_tie_is_active(self):
         target = 0.9
         reach = ((target**3 + P.w - 1.0) / P.w) ** (1.0 / 3.0)
         prob = tiny([[reach]], [target])
-        assert classify_row(prob, 0).active == (0,)
+        assert classify_all(prob)[0].active == (0,)
 
     def test_partition_property(self):
         for seed in range(1000):
@@ -151,7 +150,7 @@ class TestRowFeasible:
 
     def test_blocking_entry_kills_row(self):
         prob = tiny([[1.0]], [0.5])
-        cls = classify_row(prob, 0)
+        cls = classify_all(prob)[0]
         assert cls.blocking == (0,)
         assert classify_all(prob).infeasible == (0,)
         # direct evidence: the composed value exceeds the target everywhere
@@ -161,11 +160,11 @@ class TestRowFeasible:
     def test_zero_row_zero_target_feasible(self):
         prob = tiny([[0.0]], [0.0])
         assert classify_all(prob).infeasible == ()
-        assert classify_row(prob, 0).active == (0,)
+        assert classify_all(prob)[0].active == (0,)
 
     def test_no_active_column_kills_row(self):
         prob = tiny([[0.1, 0.05]], [0.99])
-        assert classify_row(prob, 0).active == ()
+        assert classify_all(prob)[0].active == ()
         assert classify_all(prob).infeasible == (0,)
 
 

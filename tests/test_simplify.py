@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import GOLDEN, row_values, structure_instance
 
+import wpmfre.simplify
 from wpmfre import (
     CLASSIFY_TOL,
     STATUS_INFEASIBLE,
@@ -161,6 +162,8 @@ class TestPipeline:
         simplified, _, after = simplify_pipeline(golden_problem, classify_all(golden_problem))
         if second_pass:
             simplified, _, after = simplify_pipeline(simplified, after)
+        # no cell zeroed here is active again at 0, so the input's masks,
+        # restricted, are the re-classification's
         assert list(after) == list(classify_all(simplified))
 
     def test_single_row_uses_only_first_rule(self):
@@ -200,13 +203,13 @@ class TestPreservation:
 
     def test_monotone_shrinkage(self):
         for prob in small_instances(40, start=3200):
-            simplified, log, _ = simplify_pipeline(prob, classify_all(prob))
             before = classify_all(prob)
-            after = classify_all(simplified)
+            simplified, log, after = simplify_pipeline(prob, before)
             for cls_b, cls_a in zip(before, after):
                 assert set(cls_a.active) <= set(cls_b.active)
             assert log.choices_after <= log.choices_before
             assert log.choices_after == choice_space_size(after)
+            assert log.choices_after <= choice_space_size(classify_all(simplified))
 
 
 class TestSolvePathsAgree:
@@ -246,3 +249,35 @@ class TestSolvePathsAgree:
             report = solve(prob, simplify=simplify)
             assert report.status == STATUS_INFEASIBLE
             assert report.diagnostic == {"reason": "no_corner_under_x_max", "rows": [1]}
+
+
+class TestRuleTwoCellsLeaveSelectorSpace:
+    """A zeroed coefficient can be active again; rule two's cell stays out."""
+
+    def problem(self):
+        A = [
+            [0.6369616873214543, 0.2697867137638703],
+            [0.04097352393619469, 0.016527635528529094],
+        ]
+        b = [0.6898516251151068, 0.575003396378145]
+        c = [2.132715515343598, 4.589931219679968]
+        return Problem(A, b, c, P)
+
+    def test_zeroed_cell_not_counted(self):
+        prob = self.problem()
+        simplified, log, after = simplify_pipeline(prob, classify_all(prob))
+        assert [(e.rule, e.row, e.col) for e in log.entries if e.rule == "second"] == [
+            ("second", 1, 0)
+        ]
+        # b[1]**p <= 1 - w: the zeroed coefficient is active again
+        assert classify_all(simplified).active[1, 0]
+        assert not after.active[1, 0] and after.inert[1, 0]
+        assert log.choices_before == 2 and log.choices_after == 1
+        assert not hasattr(wpmfre.simplify, "classify_all")
+
+    def test_solves_within_one_selector(self):
+        report = solve(self.problem(), limit=1)
+        assert report.status == STATUS_OPTIMAL
+        assert report.z_star == 5.923959377393647
+        assert report.e_star == (0, 1)
+        assert report.candidates_total == 1
