@@ -72,14 +72,7 @@ from .simplify import (
     SimplificationLog,
     simplify_pipeline,
 )
-from .wpm import (
-    CLASSIFY_TOL,
-    FEASIBILITY_TOL,
-    WpmParams,
-    row_composition,
-    wpm,
-    wpm_inverse,
-)
+from .wpm import CLASSIFY_TOL, FEASIBILITY_TOL, WpmParams, wpm, wpm_inverse
 
 __version__ = "0.1.0"
 
@@ -136,7 +129,6 @@ __all__ = [
     "problem_to_dict",
     "report_dumps",
     "report_to_dict",
-    "row_composition",
     "simplify_pipeline",
     "solve",
     "solve_z2",

@@ -18,7 +18,8 @@ class ParameterDomainError(WpmFreError, ValueError):
 
 
 class DomainError(WpmFreError, ValueError):
-    """A numeric value lies outside the unit interval (or is not finite)."""
+    """A numeric value lies outside its domain: the unit interval, the
+    finite numbers, or the nonnegative seeds and tolerances."""
 
 
 class DimensionError(WpmFreError, ValueError):

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DimensionError, ProblemFormatError
+from .errors import DimensionError, DomainError, ProblemFormatError
 from .lattice import CandidateMinimal, Candidates, row_keys
 from .model import Problem
 from .optimize import SolveReport
@@ -87,6 +87,9 @@ def parse_problem(document: str) -> Problem:
     missing = [f for f in _FIELDS if f not in doc]
     if missing:
         raise ProblemFormatError(f"missing field(s): {', '.join(missing)}")
+    unknown = [f for f in doc if f not in _FIELDS]
+    if unknown:
+        raise ProblemFormatError(f"unknown field(s): {', '.join(unknown)}")
     params = WpmParams(_as_number(doc["w"], '"w"'), _as_number(doc["p"], '"p"'))
     A = _as_matrix(doc["A"], "A")
     b = _as_vector(doc["b"], "b")
@@ -258,6 +261,8 @@ def generate_instance(m: int, n: int, params: WpmParams, seed: int) -> Problem:
     """
     if m < 1 or n < 1:
         raise DimensionError(f"instance needs m, n >= 1, got m={m}, n={n}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     A = rng.uniform(size=(m, n))
     hidden = rng.uniform(size=n)

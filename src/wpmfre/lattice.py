@@ -4,8 +4,8 @@ The solution set of a feasible system is a finite union of boxes (cells)
 that share one global upper corner:
 
   * Each feasible row ``i`` has a row-maximum solution: the inverse value
-    at every active column (all from one array pass, ``inverse_levels``),
-    1 at every inert column.  The componentwise minimum of the row maxima
+    at every active column (the classification's ``levels``), 1 at every
+    inert column.  The componentwise minimum of the row maxima
     is the global maximum solution ``x_max``; the system is feasible iff
     ``x_max`` solves it.
   * Each active column ``j`` of row ``i`` yields a row-minimal point:
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetError, InactiveColumnError
 from .model import Classification, Problem, classify_all
-from .wpm import CLASSIFY_TOL, inverse_levels, wpm_inverse
+from .wpm import CLASSIFY_TOL, wpm_inverse
 
 __all__ = [
     "DEFAULT_CHOICE_LIMIT",
@@ -113,14 +113,13 @@ class Candidates:
         return map(self.__getitem__, range(len(self)))
 
 
-def max_solution(problem: Problem, classification: Classification) -> MaxSolution:
-    """Row maxima, ``x_max`` and the fit mask, from one pass over every entry's level.
+def max_solution(classification: Classification) -> MaxSolution:
+    """Row maxima, ``x_max`` and the fit mask, from the classification's levels.
 
     Raises :class:`InfeasibleRowError` when some row admits no solution.
     """
     classification.require_feasible()
-    levels = inverse_levels(problem.A, problem.b, problem.params)
-    per_row = np.where(classification.active, levels, 1.0)
+    per_row = np.where(classification.active, classification.levels, 1.0)
     overall = per_row.min(axis=0)
     fits = classification.active & (per_row <= overall + CLASSIFY_TOL)
     return MaxSolution(per_row=per_row, overall=overall, fits=fits)
@@ -148,9 +147,7 @@ def choice_space_size(classification: Classification) -> int:
 
 
 def enumerate_candidates(
-    problem: Problem,
-    classification: Classification,
-    limit: int = DEFAULT_CHOICE_LIMIT,
+    classification: Classification, limit: int = DEFAULT_CHOICE_LIMIT
 ) -> Candidates:
     """One candidate per selector vector, in lexicographic order.
 
@@ -169,9 +166,10 @@ def enumerate_candidates(
     required = choice_space_size(classification)
     if required > limit:
         raise EnumerationBudgetError(required=required, limit=limit)
-    ms = max_solution(problem, classification)
-    choices = np.empty((required, problem.m), dtype=np.intp)
-    points = np.zeros((required, problem.n))
+    ms = max_solution(classification)
+    m, n = ms.per_row.shape
+    choices = np.empty((required, m), dtype=np.intp)
+    points = np.zeros((required, n))
     feasible = np.ones(required, dtype=bool)
     stranded = []
     stride = required
@@ -185,7 +183,7 @@ def enumerate_candidates(
         fits = ms.fits[i, cols]
         choices[:, i].reshape(grid)[...] = np.reshape(cols, (1, -1, 1))
         feasible.reshape(grid)[...] &= fits.reshape(1, -1, 1)
-        corners = points.reshape(grid + (problem.n,))
+        corners = points.reshape(grid + (n,))
         for k, j in enumerate(cols):
             np.maximum(corners[:, k, :, j], level[k], out=corners[:, k, :, j])
         if not fits.any():

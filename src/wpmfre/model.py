@@ -19,10 +19,11 @@ A row is feasible iff it has no blocking column and at least one active
 column.  The three groups partition the column set by construction.
 
 The groups are the masks of one array pass over the matrix,
-``entry_masks`` of the operator kernel, whose ``CLASSIFY_TOL`` band makes
+``entry_pass`` of the operator kernel, whose ``CLASSIFY_TOL`` band makes
 a coefficient exactly on a boundary active, matching the closed
-(non-strict) solvability conditions of the inverse.  A
-:class:`Classification` keeps those masks; its rows are views.
+(non-strict) solvability conditions of the inverse.  The same pass
+yields every entry's attainment level.  A :class:`Classification` keeps
+the masks and the levels; its rows are views.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleRowError
-from .wpm import WpmParams, entry_masks
+from .wpm import WpmParams, entry_pass
 
 __all__ = [
     "Problem",
@@ -117,7 +118,8 @@ class Classification:
     """Every entry of a problem as blocking, inert or active.
 
     ``blocking``, ``inert`` and ``active`` are read-only ``(m, n)`` masks
-    that partition the entries, and ``infeasible`` lists the rows with a
+    that partition the entries, ``levels`` holds every entry's inverse
+    (valid where active), and ``infeasible`` lists the rows with a
     blocking column or no active column.  ``len()``, indexing and
     iteration see the rows as :class:`RowClassification`.  In the
     classification that ``simplify_pipeline`` returns, "inert" also
@@ -127,10 +129,11 @@ class Classification:
     blocking: np.ndarray
     inert: np.ndarray
     active: np.ndarray
+    levels: np.ndarray
     infeasible: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for arr in (self.blocking, self.inert, self.active):
+        for arr in (self.blocking, self.inert, self.active, self.levels):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -157,8 +160,8 @@ class Classification:
 
 
 def classify_all(problem: Problem) -> Classification:
-    """Classify every entry in one pass over the matrix."""
-    blocking, inert = entry_masks(problem.A, problem.b, problem.params)
+    """Classify every entry and compute its level in one pass over the matrix."""
+    blocking, inert, levels = entry_pass(problem.A, problem.b, problem.params)
     active = ~blocking & ~inert
     infeasible = np.flatnonzero(blocking.any(axis=1) | ~active.any(axis=1))
-    return Classification(blocking, inert, active, tuple(infeasible.tolist()))
+    return Classification(blocking, inert, active, levels, tuple(infeasible.tolist()))

@@ -92,7 +92,7 @@ def decide_feasibility(problem: Problem) -> tuple[
             "blocking_columns": list(cls.blocking),
             "active_columns": list(cls.active),
         }
-    x_max = max_solution(problem, classification).overall
+    x_max = max_solution(classification).overall
     member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
     diagnostic = None if member else {
         "reason": "maximum_point_not_solution",
@@ -172,12 +172,11 @@ def solve(
     classification, x_max, _, diagnostic = decide_feasibility(problem)
     if diagnostic is not None:
         return _unsolved(STATUS_INFEASIBLE, False, t0, diagnostic, x_max=x_max)
-    working = problem
     log: SimplificationLog | None = None
     if simplify:
-        working, log, classification = simplify_pipeline(problem, classification)
+        _, log, classification = simplify_pipeline(problem, classification)
     try:
-        candidates = enumerate_candidates(working, classification, limit=limit)
+        candidates = enumerate_candidates(classification, limit=limit)
     except EnumerationBudgetError as exc:
         return _unsolved(
             STATUS_BUDGET_EXCEEDED,

@@ -80,8 +80,11 @@ def check_membership(
     """Does ``x`` solve every row within ``tol``?  Returns (verdict, residuals).
 
     The residual of row ``i`` is ``|max_j wpm(A[i,j], x[j]) - b[i]|``;
-    every entry is evaluated in one broadcast call of the operator.
+    every entry is evaluated in one broadcast call of the operator.  A
+    tolerance that is not finite or is negative raises :class:`DomainError`.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
     x_arr = np.asarray(x, dtype=float)
     if x_arr.shape != (problem.n,):
         raise DimensionError(

@@ -67,7 +67,7 @@ def simplify_pipeline(
     simplified problem, the log with the selector-space size before and
     after, and ``classification`` with rule two's entries made inert.
     """
-    fits = max_solution(problem, classification).fits
+    fits = max_solution(classification).fits
     doomed = classification.active & ~fits & fits.any(axis=1)[:, None]
     A = problem.A.copy()
     entries: list[SimplificationEntry] = []

@@ -20,10 +20,12 @@ A solution exists iff both
   * ``t**p < 1 - w`` or ``a >= ((t**p + w - 1) / w) ** (1/p)``
     (otherwise even ``x = 1`` falls short).
 
-Both tests and the inverse are array passes; the second root is used only
-where ``t**p >= 1 - w``.  Strict inequalities use the band ``CLASSIFY_TOL``
-so knife-edge inputs resolve to the solvable side.  Powers of single
-entries use ``np.float_power``, which rounds like Python's scalar ``**``.
+Both tests and the inverse are one array pass, ``entry_pass``, which
+computes ``t**p`` once for all three; the second root is used only where
+``t**p >= 1 - w``, and ``wpm_inverse`` is its one-entry case.  Strict
+inequalities use the band ``CLASSIFY_TOL`` so knife-edge inputs resolve
+to the solvable side.  Powers of single entries use ``np.float_power``,
+which rounds like Python's scalar ``**``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    NoSolutionError,
-    ParameterDomainError,
-)
+from .errors import DomainError, NoSolutionError, ParameterDomainError
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -46,7 +43,6 @@ __all__ = [
     "WpmParams",
     "wpm",
     "wpm_inverse",
-    "row_composition",
 ]
 
 #: Tolerance band for the strict inequalities that classify a coefficient
@@ -111,23 +107,26 @@ def wpm(a: ArrayLike, x: ArrayLike, params: WpmParams) -> ArrayLike:
     return out
 
 
-@np.errstate(all="ignore")  # b / w**(1/p) is inf or nan once w**(1/p) underflows
-def entry_masks(A: np.ndarray, b: np.ndarray, params: WpmParams) -> tuple[np.ndarray, ...]:
-    """Blocking and inert masks of every entry ``A[i, j]`` against ``b[i]``."""
+def entry_pass(
+    A: np.ndarray, b: np.ndarray, params: WpmParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocking mask, inert mask and level of every entry ``A[i, j]`` against ``b[i]``.
+
+    The level is the inverse, clamped into [0, 1]; it is valid where
+    neither mask is set.  ``b**p`` is computed once for the masks and the
+    levels.
+    """
     w, p = params.w, params.p
-    blocking = A > (b / params.blocking_scale + CLASSIFY_TOL)[:, None]
+    with np.errstate(all="ignore"):  # b / w**(1/p) is inf or nan once w**(1/p) underflows
+        blocking = A > (b / params.blocking_scale + CLASSIFY_TOL)[:, None]
     t_pow = np.float_power(b, p)
-    reach = np.float_power(np.maximum((t_pow + w - 1.0) / w, 0.0), 1.0 / p)
+    # clamp before dividing: a negative numerator over a tiny w overflows
+    reach = np.float_power(np.maximum(t_pow + w - 1.0, 0.0) / w, 1.0 / p)
     guarded = (t_pow >= 1.0 - w)[:, None]
-    return blocking, ~blocking & guarded & (A < (reach - CLASSIFY_TOL)[:, None])
-
-
-def inverse_levels(A: np.ndarray, b: np.ndarray, params: WpmParams) -> np.ndarray:
-    """The inverse at every entry, clamped into [0, 1]; valid where not masked."""
-    w, p = params.w, params.p
-    numerator = np.float_power(b, p)[:, None] - w * np.float_power(A, p)
+    inert = ~blocking & guarded & (A < (reach - CLASSIFY_TOL)[:, None])
+    numerator = t_pow[:, None] - w * np.float_power(A, p)
     x = np.where(numerator < 0.0, 0.0, numerator) / (1.0 - w)
-    return np.float_power(np.where(1.0 < x, 1.0, x), 1.0 / p)
+    return blocking, inert, np.float_power(np.where(1.0 < x, 1.0, x), 1.0 / p)
 
 
 def wpm_inverse(a: float, target: float, params: WpmParams) -> float:
@@ -142,25 +141,9 @@ def wpm_inverse(a: float, target: float, params: WpmParams) -> float:
     """
     a_f = float(_require_unit("a", a))
     t_f = float(_require_unit("target", target))
-    A, b = np.array([[a_f]]), np.array([t_f])
-    blocking, inert = entry_masks(A, b, params)
+    blocking, inert, levels = entry_pass(np.array([[a_f]]), np.array([t_f]), params)
     if blocking[0, 0]:
         raise NoSolutionError(f"coefficient {a_f} overshoots target {t_f} even at x = 0")
     if inert[0, 0]:
         raise NoSolutionError(f"coefficient {a_f} cannot reach target {t_f} even at x = 1")
-    return float(inverse_levels(A, b, params)[0, 0])
-
-
-def row_composition(a_row: ArrayLike, x: ArrayLike, params: WpmParams) -> float:
-    """Max over columns of the operator: ``max_j wpm(a_row[j], x[j])``."""
-    a_arr = np.asarray(a_row, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if a_arr.ndim != 1 or x_arr.ndim != 1:
-        raise DimensionError("row_composition expects two 1-D vectors")
-    if a_arr.size == 0:
-        raise DimensionError("row_composition expects nonempty vectors")
-    if a_arr.shape != x_arr.shape:
-        raise DimensionError(
-            f"length mismatch: coefficients {a_arr.shape[0]}, point {x_arr.shape[0]}"
-        )
-    return float(np.max(wpm(a_arr, x_arr, params)))
+    return float(levels[0, 0])

@@ -54,8 +54,8 @@ def structure_suite():
                 {
                     "seed": seed,
                     "problem": prob,
-                    "candidates": enumerate_candidates(prob, cls),
-                    "x_max": max_solution(prob, cls).overall,
+                    "candidates": enumerate_candidates(cls),
+                    "x_max": max_solution(cls).overall,
                     "report": solve(prob),
                 }
             )
@@ -91,7 +91,7 @@ class TestAcceptance:
         assert ok
 
     def test_criterion_2_golden_maximum_solutions(self, golden_problem):
-        ms = max_solution(golden_problem, classify_all(golden_problem))
+        ms = max_solution(classify_all(golden_problem))
         worst_rows = float(np.max(np.abs(ms.per_row - GOLDEN["per_row_max"])))
         worst_global = float(np.max(np.abs(ms.overall - GOLDEN["x_max"])))
         ok = worst_rows <= 1e-4 and worst_global <= 1e-4
@@ -189,7 +189,7 @@ class TestAcceptance:
                     break
             simplified, _, _ = simplify_pipeline(prob, classify_all(prob))
             after = feasible_candidates(
-                enumerate_candidates(simplified, classify_all(simplified))
+                enumerate_candidates(classify_all(simplified))
             )
             before_pts = sorted(tuple(cand.point) for cand in distinct)
             after_pts = sorted(tuple(cand.point) for cand in after)
@@ -277,7 +277,7 @@ class TestAcceptance:
         required = 8**7
         caught = None
         try:
-            enumerate_candidates(prob, classify_all(prob))
+            enumerate_candidates(classify_all(prob))
         except EnumerationBudgetError as exc:
             caught = exc
         lib_ok = (

@@ -187,13 +187,14 @@ class TestLevels:
         classifications = classify_all(prob)
         if classifications.infeasible:
             return
-        ms = max_solution(prob, classifications)
+        ms = max_solution(classifications)
         expected = np.ones((prob.m, prob.n))
         for cls in classifications:
             for j in cls.active:
                 a, t = float(prob.A[cls.row, j]), float(prob.b[cls.row])
                 expected[cls.row, j] = scalar_level(a, t, prob.params)
                 assert bits(wpm_inverse(a, t, prob.params)) == bits(expected[cls.row, j])
+                assert bits(classifications.levels[cls.row, j]) == bits(expected[cls.row, j])
         assert bits(ms.per_row) == bits(expected)
         assert bits(ms.overall) == bits(expected.min(axis=0))
 
@@ -273,15 +274,26 @@ class TestRules:
         assert np.array_equal(after.inert, again.inert | moved)
         assert np.array_equal(after.active, again.active & ~moved)
         # what is left active fits, apart from the rows with no corner
-        stranded = list(enumerate_candidates(once, after).stranded)
+        stranded = list(enumerate_candidates(after).stranded)
         kept = np.setdiff1d(np.arange(prob.m), stranded)
-        fits = max_solution(once, after).fits
+        fits = max_solution(after).fits
         assert np.array_equal(fits[kept], after.active[kept])
         assert not fits[stranded].any()
         # a second pass keeps the masks and zeroes nothing
         _, log_again, after_again = simplify_pipeline(once, after)
         assert log_again.entries == ()
         assert masks(after_again) == masks(after)
+
+    @SETTINGS
+    @given(problems())
+    def test_returned_classification_keeps_x_max_and_fits(self, prob):
+        classification = classify_all(prob)
+        if classification.infeasible:
+            return
+        _, _, after = simplify_pipeline(prob, classification)
+        before, restricted = max_solution(classification), max_solution(after)
+        assert bits(restricted.overall) == bits(before.overall)
+        assert np.array_equal(restricted.fits, before.fits)
 
 
 def solve_outcome(prob, simplify):
@@ -339,7 +351,7 @@ class TestExactSelectorCounts:
         assert all(len(cls.active) == 16 for cls in classifications)
         assert choice_space_size(classifications) == 16**16
         with pytest.raises(EnumerationBudgetError) as info:
-            enumerate_candidates(prob, classifications)
+            enumerate_candidates(classifications)
         assert info.value.required == 16**16
         _, log, _ = simplify_pipeline(prob, classifications)
         assert type(log.choices_before) is int and log.choices_before == 16**16

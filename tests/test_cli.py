@@ -210,7 +210,7 @@ class TestSimplifyCommand:
 
 class TestVerifyCommand:
     def x_max_file(self, golden_problem, tmp_path, wrap):
-        x_max = max_solution(golden_problem, classify_all(golden_problem)).overall
+        x_max = max_solution(classify_all(golden_problem)).overall
         payload = {"x": x_max.tolist()} if wrap else x_max.tolist()
         path = tmp_path / "point.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -241,6 +241,14 @@ class TestVerifyCommand:
         path.write_text(json.dumps([0.0] * 7), encoding="utf-8")
         assert main(["verify", GOLDEN_ARG, str(path), "--tol", "1.0"]) == EXIT_OK
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_rejected(self, golden_problem, tmp_path, capsys, tol):
+        path = self.x_max_file(golden_problem, tmp_path, wrap=False)
+        assert main(["verify", GOLDEN_ARG, path, "--tol", tol]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and nonnegative" in captured.err
+
 
 class TestGenerateCommand:
     def test_round_trip_and_feasibility(self, tmp_path, capsys):
@@ -265,6 +273,13 @@ class TestGenerateCommand:
         rc = main(["generate", "--rows", "1", "--cols", "1", "--w", "1.5"])
         assert rc == EXIT_INPUT_ERROR
 
+    def test_negative_seed(self, capsys):
+        rc = main(["generate", "--rows", "2", "--cols", "2", "--seed", "-1"])
+        assert rc == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be nonnegative, got -1" in captured.err
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -276,6 +291,14 @@ class TestInputErrors:
         path.write_text("not json at all", encoding="utf-8")
         assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_unknown_field(self, tmp_path, capsys):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({**blocking_doc(), "extra": 1}), encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown field(s): extra" in captured.err
 
 
     @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from wpmfre import (
     problem_to_dict,
     report_dumps,
     report_to_dict,
-    row_composition,
     solve,
     wpm,
 )
@@ -57,6 +56,12 @@ class TestParseProblem:
     def test_missing_fields_listed(self):
         with pytest.raises(ProblemFormatError, match="p, c"):
             parse_problem('{"w": 0.75, "A": [[0.5]], "b": [0.5]}')
+
+    def test_unknown_fields_listed(self):
+        doc = json.loads(golden_text())
+        doc["extra"], doc["x"] = 1, [0.5]
+        with pytest.raises(ProblemFormatError, match=r"unknown field\(s\): extra, x"):
+            parse_problem(json.dumps(doc))
 
     def test_non_numeric_entry_named(self):
         doc = json.loads(golden_text())
@@ -235,7 +240,7 @@ class TestGenerateInstance:
         rng = np.random.default_rng(seed)
         A = rng.uniform(size=(m, n))
         hidden = rng.uniform(size=n)
-        b = np.array([row_composition(A[i], hidden, params) for i in range(m)])
+        b = np.array([np.max(wpm(A[i], hidden, params)) for i in range(m)])
         assert np.array_equal(prob.A, A)
         assert prob.b.tobytes() == b.tobytes()
 

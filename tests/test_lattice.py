@@ -20,7 +20,7 @@ from wpmfre import (
     feasible_candidates,
     max_solution,
     minimal_solution_row,
-    row_composition,
+    wpm,
     wpm_inverse,
 )
 
@@ -47,41 +47,41 @@ def feasible_structure_instances(count, start=0):
 
 class TestMaxSolution:
     def test_golden_per_row_values(self, golden_problem):
-        ms = max_solution(golden_problem, classify_all(golden_problem))
+        ms = max_solution(classify_all(golden_problem))
         assert ms.per_row == pytest.approx(GOLDEN["per_row_max"], abs=1e-4)
 
     def test_golden_overall(self, golden_problem):
-        ms = max_solution(golden_problem, classify_all(golden_problem))
+        ms = max_solution(classify_all(golden_problem))
         assert ms.overall == pytest.approx(GOLDEN["x_max"], abs=1e-4)
 
     def test_single_row_overall_equals_row(self):
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
-        ms = max_solution(prob, classify_all(prob))
+        ms = max_solution(classify_all(prob))
         assert np.array_equal(ms.overall, ms.per_row[0])
 
     def test_identical_rows_identical_maxima(self):
-        b = row_composition(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P)
+        b = np.max(wpm(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P))
         prob = tiny([[0.6, 0.4], [0.6, 0.4]], [b, b])
-        ms = max_solution(prob, classify_all(prob))
+        ms = max_solution(classify_all(prob))
         assert np.array_equal(ms.per_row[0], ms.per_row[1])
         assert np.array_equal(ms.overall, ms.per_row[0])
 
     def test_idempotent_fixed_point(self):
         prob = tiny([[0.37]], [0.37])
-        ms = max_solution(prob, classify_all(prob))
+        ms = max_solution(classify_all(prob))
         assert ms.overall[0] == pytest.approx(0.37, abs=1e-9)
 
     def test_blocking_row_raises(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
         with pytest.raises(InfeasibleRowError, match=r"row 0 .*blocking columns \[0\]"):
-            max_solution(prob, classify_all(prob))
+            max_solution(classify_all(prob))
 
     def test_row_maxima_reconstruct_targets(self):
         for seed in range(40):
             prob = structure_instance(seed + 100_000)
-            ms = max_solution(prob, classify_all(prob))
+            ms = max_solution(classify_all(prob))
             for i in range(prob.m):
-                value = row_composition(prob.A[i], ms.per_row[i], prob.params)
+                value = np.max(wpm(prob.A[i], ms.per_row[i], prob.params))
                 assert value == pytest.approx(prob.b[i], abs=1e-9)
 
 
@@ -102,7 +102,7 @@ class TestMinimalSolutionRow:
             minimal_solution_row(golden_problem, 0, 0)
 
     def test_support_matches_row_maximum(self, golden_problem):
-        ms = max_solution(golden_problem, classify_all(golden_problem))
+        ms = max_solution(classify_all(golden_problem))
         for i, active in enumerate(GOLDEN["active"]):
             for j in active:
                 point = minimal_solution_row(golden_problem, i, j)
@@ -113,7 +113,7 @@ class TestMinimalSolutionRow:
         for i, active in enumerate(GOLDEN["active"]):
             for j in active:
                 point = minimal_solution_row(golden_problem, i, j)
-                value = row_composition(golden_problem.A[i], point, P)
+                value = np.max(wpm(golden_problem.A[i], point, P))
                 assert value == pytest.approx(golden_problem.b[i], abs=1e-9)
 
 
@@ -121,18 +121,18 @@ class TestEnumerate:
     def test_golden_choice_space(self, golden_problem):
         cls = classify_all(golden_problem)
         assert choice_space_size(cls) == GOLDEN["choices_before"]
-        candidates = enumerate_candidates(golden_problem, cls)
+        candidates = enumerate_candidates(cls)
         assert len(candidates) == GOLDEN["choices_before"]
 
     def test_lexicographic_selector_order(self, golden_problem):
         cls = classify_all(golden_problem)
-        candidates = enumerate_candidates(golden_problem, cls)
+        candidates = enumerate_candidates(cls)
         expected = list(itertools.product(*GOLDEN["active"]))
         assert [cand.choice for cand in candidates] == expected
 
     def test_golden_feasible_candidates(self, golden_problem):
         cls = classify_all(golden_problem)
-        distinct = feasible_candidates(enumerate_candidates(golden_problem, cls))
+        distinct = feasible_candidates(enumerate_candidates(cls))
         by_choice = {cand.choice: cand.point for cand in distinct}
         assert set(by_choice) == {(1, 0, 4, 2, 3), (1, 0, 5, 2, 3)}
         assert by_choice[(1, 0, 5, 2, 3)] == pytest.approx(
@@ -144,14 +144,14 @@ class TestEnumerate:
 
     def test_feasible_flag_matches_maximum(self, golden_problem):
         cls = classify_all(golden_problem)
-        x_max = max_solution(golden_problem, cls).overall
-        for cand in enumerate_candidates(golden_problem, cls):
+        x_max = max_solution(cls).overall
+        for cand in enumerate_candidates(cls):
             assert cand.feasible == bool(np.all(cand.point <= x_max + CLASSIFY_TOL))
 
     def test_budget_checked_before_expansion(self, golden_problem):
         cls = classify_all(golden_problem)
         with pytest.raises(EnumerationBudgetError) as excinfo:
-            enumerate_candidates(golden_problem, cls, limit=23)
+            enumerate_candidates(cls, limit=23)
         assert excinfo.value.required == 24
         assert excinfo.value.limit == 23
         assert "24" in str(excinfo.value)
@@ -159,7 +159,7 @@ class TestEnumerate:
     def test_single_row_candidates_are_row_minimal(self):
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
         cls = classify_all(prob)
-        candidates = enumerate_candidates(prob, cls)
+        candidates = enumerate_candidates(cls)
         assert [cand.choice for cand in candidates] == [(0,), (1,)]
         for cand in candidates:
             assert cand.feasible
@@ -169,11 +169,11 @@ class TestEnumerate:
     def test_infeasible_row_rejected(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
         with pytest.raises(InfeasibleRowError):
-            enumerate_candidates(prob, classify_all(prob))
+            enumerate_candidates(classify_all(prob))
 
     def test_points_read_only(self, golden_problem):
         cls = classify_all(golden_problem)
-        cand = enumerate_candidates(golden_problem, cls)[0]
+        cand = enumerate_candidates(cls)[0]
         with pytest.raises(ValueError):
             cand.point[0] = 0.5
 
@@ -181,15 +181,15 @@ class TestEnumerate:
 class TestCells:
     def test_feasible_candidates_are_solutions(self):
         for prob, cls in feasible_structure_instances(40, start=0):
-            for cand in feasible_candidates(enumerate_candidates(prob, cls)):
+            for cand in feasible_candidates(enumerate_candidates(cls)):
                 member, residuals = check_membership(prob, cand.point)
                 assert member, (prob.params, cand.choice, residuals)
 
     def test_cells_filled_with_solutions(self):
         rng = np.random.default_rng(2024)
         for prob, cls in feasible_structure_instances(15, start=300):
-            x_max = max_solution(prob, cls).overall
-            for cand in feasible_candidates(enumerate_candidates(prob, cls)):
+            x_max = max_solution(cls).overall
+            for cand in feasible_candidates(enumerate_candidates(cls)):
                 lo = np.minimum(cand.point, x_max)
                 u = rng.uniform(size=(50, prob.n))
                 points = lo + u * (x_max - lo)
@@ -200,7 +200,7 @@ class TestCells:
         delta = 1e-3
         bumped_total = 0
         for prob, cls in feasible_structure_instances(40, start=600):
-            x_max = max_solution(prob, cls).overall
+            x_max = max_solution(cls).overall
             for j in range(prob.n):
                 if x_max[j] + delta > 1.0:
                     continue
@@ -221,7 +221,7 @@ class TestCells:
         """
         delta = 1e-3
         for prob, cls in feasible_structure_instances(40, start=900):
-            distinct = feasible_candidates(enumerate_candidates(prob, cls))
+            distinct = feasible_candidates(enumerate_candidates(cls))
             points = [cand.point for cand in distinct]
             for idx, point in enumerate(points):
                 dominated = any(

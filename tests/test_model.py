@@ -11,7 +11,6 @@ from wpmfre import (
     WpmParams,
     classify_all,
     oracle_feasible,
-    row_composition,
     wpm,
 )
 from wpmfre.optimize import decide_feasibility
@@ -220,9 +219,7 @@ class TestProblemFeasible:
     def test_reconstruction_at_maximum(self, golden_problem):
         from wpmfre import max_solution
 
-        x_max = max_solution(golden_problem, classify_all(golden_problem)).overall
+        x_max = max_solution(classify_all(golden_problem)).overall
         for i in range(golden_problem.m):
-            value = row_composition(
-                golden_problem.A[i], x_max, golden_problem.params
-            )
+            value = np.max(wpm(golden_problem.A[i], x_max, golden_problem.params))
             assert value == pytest.approx(float(golden_problem.b[i]), abs=1e-6)

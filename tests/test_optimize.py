@@ -31,10 +31,12 @@ from wpmfre import (
     generate_instance,
     load_problem,
     max_solution,
+    problem_dumps,
     solve,
     solve_z2,
     wpm,
 )
+from wpmfre.cli import main
 from wpmfre.optimize import decide_feasibility
 
 P = WpmParams(0.75, 3.0)
@@ -77,7 +79,7 @@ def conflicting_rows_problem():
 class TestSolveZ2:
     def golden_distinct(self, golden_problem):
         cls = classify_all(golden_problem)
-        return feasible_candidates(enumerate_candidates(golden_problem, cls))
+        return feasible_candidates(enumerate_candidates(cls))
 
     def test_golden_winner(self, golden_problem):
         c_positive = np.maximum(golden_problem.c, 0.0)
@@ -207,7 +209,7 @@ class TestSolveDegenerate:
         # x_max passes membership, so the verdict comes after enumeration
         assert check_membership(prob, report.x_max)[0]
         cls = classify_all(prob)
-        ms = max_solution(prob, cls)
+        ms = max_solution(cls)
         for i in range(prob.m):
             active = list(cls[i].active)
             fits = ms.per_row[i, active] <= ms.overall[active] + CLASSIFY_TOL
@@ -244,7 +246,7 @@ class TestDecideFeasibility:
         cls, x_max, residuals, diagnostic = decide_feasibility(golden_problem)
         assert diagnostic is None
         assert list(cls) == list(classify_all(golden_problem))
-        assert np.array_equal(x_max, max_solution(golden_problem, cls).overall)
+        assert np.array_equal(x_max, max_solution(cls).overall)
         assert np.array_equal(residuals, check_membership(golden_problem, x_max)[1])
 
     @pytest.mark.parametrize(
@@ -322,6 +324,32 @@ class TestWorkCount:
         decide_feasibility(prob)
         solve(prob)
         assert calls["wpm_inverse"] == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["solve", "--no-simplify"], ["simplify"], ["feasibility"]],
+        ids=["solve", "solve-no-simplify", "simplify", "feasibility"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_problem(str(GOLDEN_PATH)), lambda: generate_instance(12, 12, P, 0)],
+        ids=["golden", "generated-12x12"],
+    )
+    def test_two_matrix_power_passes_per_command(self, monkeypatch, tmp_path, make, command):
+        # one kernel pass: the levels' A**p and their 1/p-th root
+        path = tmp_path / "problem.json"
+        path.write_text(problem_dumps(make()))
+        power = np.float_power
+        matrix_calls = []
+
+        def counted(*args, **kwargs):
+            if any(np.ndim(arg) == 2 for arg in args):
+                matrix_calls.append(args)
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(np, "float_power", counted)
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert len(matrix_calls) == 2
 
 
 class TestSolveRandom:

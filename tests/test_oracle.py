@@ -75,7 +75,7 @@ class TestIndependence:
 
 class TestCheckMembership:
     def test_golden_maximum_is_member(self, golden_problem):
-        x_max = max_solution(golden_problem, classify_all(golden_problem)).overall
+        x_max = max_solution(classify_all(golden_problem)).overall
         member, residuals = check_membership(golden_problem, x_max)
         assert member
         assert np.all(residuals <= 1e-6)
@@ -204,7 +204,7 @@ class TestGridFeasibleSet:
 class TestExhaustiveCandidates:
     def test_golden_matches_lattice_enumeration(self, golden_problem):
         slow = exhaustive_candidates(golden_problem)
-        fast = enumerate_candidates(golden_problem, classify_all(golden_problem))
+        fast = enumerate_candidates(classify_all(golden_problem))
         assert len(slow) == len(fast) == GOLDEN["choices_before"]
         for s, f in zip(slow, fast):
             assert s.choice == f.choice
@@ -260,7 +260,7 @@ class TestDifferential:
                 continue
             checked += 1
             slow = exhaustive_candidates(prob)
-            fast = enumerate_candidates(prob, classify_all(prob))
+            fast = enumerate_candidates(classify_all(prob))
             assert [s.choice for s in slow] == [f.choice for f in fast]
             for s, f in zip(slow, fast):
                 assert s.point == pytest.approx(f.point, abs=1e-9)

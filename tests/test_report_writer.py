@@ -125,7 +125,7 @@ def test_cases_cover_log_sizes():
 @pytest.mark.parametrize("negative", [True, False])
 def test_degenerate_closed_forms(m, n, negative):
     prob = degenerate(m, n, negative)
-    candidates = enumerate_candidates(prob, classify_all(prob))
+    candidates = enumerate_candidates(classify_all(prob))
     assert len(candidates) == n**m
     assert candidates.feasible.all()
     distinct = feasible_candidates(candidates)
@@ -145,7 +145,7 @@ def test_one_column_degenerate_many_rows(m, simplify):
     """``A == b == t`` with one column: one selector, corner and optimum at ``t``."""
     t = 0.6
     prob = Problem(np.full((m, 1), t), np.full(m, t), np.array([2.0]), WpmParams(0.75, 3.0))
-    candidates = enumerate_candidates(prob, classify_all(prob))
+    candidates = enumerate_candidates(classify_all(prob))
     assert len(candidates) == 1
     assert candidates[0].choice == (0,) * m
     assert candidates[0].point.tolist() == [t]
@@ -161,7 +161,7 @@ def test_one_column_degenerate_many_rows(m, simplify):
 def test_many_rows_match_oracle(m):
     """More rows than numpy has array dimensions, against the scalar oracle."""
     prob = many_rows(m, 5)
-    fast = enumerate_candidates(prob, classify_all(prob))
+    fast = enumerate_candidates(classify_all(prob))
     slow = exhaustive_candidates(prob)
     assert len(fast) == len(slow) == 3**5
     for f, s in zip(fast, slow):

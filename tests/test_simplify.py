@@ -18,7 +18,6 @@ from wpmfre import (
     exhaustive_candidates,
     feasible_candidates,
     max_solution,
-    row_composition,
     simplify_pipeline,
     solve,
     wpm,
@@ -54,7 +53,7 @@ def rule_log(problem, rule):
 
 def distinct_feasible_points(problem):
     cls = classify_all(problem)
-    distinct = feasible_candidates(enumerate_candidates(problem, cls))
+    distinct = feasible_candidates(enumerate_candidates(cls))
     return sorted(tuple(cand.point) for cand in distinct)
 
 
@@ -110,18 +109,18 @@ class TestSecondRule:
         assert rhs == pytest.approx(0.1184, abs=1e-3)
         assert lhs < rhs - CLASSIFY_TOL
         # ... which is to say that its level does not fit under x_max[2]
-        ms = max_solution(golden_problem, classify_all(golden_problem))
+        ms = max_solution(classify_all(golden_problem))
         assert ms.per_row[0, 2] > ms.overall[2] + CLASSIFY_TOL
         assert not ms.fits[0, 2] and ms.fits[3, 2]
 
     def test_golden_removals_are_the_unfitting_active_entries(self, golden_problem):
         cls = classify_all(golden_problem)
-        fits = max_solution(golden_problem, cls).fits
+        fits = max_solution(cls).fits
         unfitting = {tuple(cell) for cell in np.argwhere(cls.active & ~fits).tolist()}
         assert unfitting == GOLDEN["second_rule_removals"]
 
     def test_identical_rows_not_removed(self):
-        b = row_composition(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P)
+        b = np.max(wpm(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P))
         prob = tiny([[0.6, 0.4], [0.6, 0.4]], [b, b])
         assert rule_log(prob, "second")[1] == []
 
@@ -146,8 +145,8 @@ class TestPipeline:
 
     def test_golden_maximum_preserved(self, golden_problem):
         simplified, _, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
-        before = max_solution(golden_problem, classify_all(golden_problem)).overall
-        after = max_solution(simplified, classify_all(simplified)).overall
+        before = max_solution(classify_all(golden_problem)).overall
+        after = max_solution(classify_all(simplified)).overall
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_golden_idempotent(self, golden_problem):
@@ -193,8 +192,8 @@ class TestPreservation:
             simplified, _, _ = simplify_pipeline(prob, classify_all(prob))
             for source, target in ((prob, simplified), (simplified, prob)):
                 cls = classify_all(source)
-                x_max = max_solution(source, cls).overall
-                for cand in feasible_candidates(enumerate_candidates(source, cls)):
+                x_max = max_solution(cls).overall
+                for cand in feasible_candidates(enumerate_candidates(cls)):
                     lo = np.minimum(cand.point, x_max)
                     u = rng.uniform(size=(40, source.n))
                     points = lo + u * (x_max - lo)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from wpmfre import (
-    DimensionError,
     DomainError,
     NoSolutionError,
     ParameterDomainError,
     WpmParams,
-    row_composition,
     wpm,
     wpm_inverse,
 )
@@ -111,28 +109,16 @@ class TestInverse:
 class TestRowComposition:
     def test_reference_row(self, golden_problem):
         x_max = np.array([0.9982, 0.7552, 0.7955, 0.7456, 0.9908, 0.9107, 1.0])
-        value = row_composition(golden_problem.A[0], x_max, golden_problem.params)
+        value = np.max(wpm(golden_problem.A[0], x_max, golden_problem.params))
         assert value == pytest.approx(0.8657, abs=1e-3)
-
-    def test_single_column_equals_operator(self):
-        assert row_composition([0.3], [0.8], P) == wpm(0.3, 0.8, P)
 
     def test_zero_point_closed_form(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             row = rng.uniform(size=rng.integers(1, 6))
             expected = P.blocking_scale * row.max()
-            assert row_composition(row, np.zeros(row.size), P) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-    def test_dimension_errors(self):
-        with pytest.raises(DimensionError):
-            row_composition([0.1, 0.2], [0.3], P)
-        with pytest.raises(DimensionError):
-            row_composition([], [], P)
-        with pytest.raises(DimensionError):
-            row_composition([[0.1]], [[0.2]], P)
+            value = np.max(wpm(row, np.zeros(row.size), P))
+            assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestOperatorLaws:
