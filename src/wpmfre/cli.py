@@ -91,17 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_limit(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_LIMIT)
-    if raw is None:
-        return DEFAULT_CHOICE_LIMIT
+    source, raw = "--limit", flag_value
+    if flag_value is None:
+        source, raw = ENV_LIMIT, os.environ.get(ENV_LIMIT)
+        if raw is None:
+            return DEFAULT_CHOICE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ProblemFormatError(
-            f"{ENV_LIMIT} must be an integer, got {raw!r}"
-        ) from None
+        raise ProblemFormatError(f"{source} must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise DomainError(f"{source} must be at least 1, got {limit}")
+    return limit
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

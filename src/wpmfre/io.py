@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProblemFormatError
-from .lattice import CandidateMinimal, Candidates, row_keys
+from .lattice import CandidateMinimal, Candidates
 from .model import Problem
 from .optimize import SolveReport
 from .simplify import SimplificationLog
@@ -207,18 +207,15 @@ def _candidates_dumps(candidates: Candidates | None) -> list[str]:
         return ["null"]
     if len(candidates) == 0:
         return ["[]"]
-    _, first, corner = np.unique(
-        row_keys(candidates.points), return_index=True, return_inverse=True
-    )
     points = [
-        _ITEM_MID + _NUMBER_SEP.join(map(float.__repr__, candidates.points[k].tolist()))
-        for k in first
+        _ITEM_MID + _NUMBER_SEP.join(map(float.__repr__, point))
+        for point in candidates.points[candidates.first].tolist()
     ]
     tails = {flag: [t + close for t in points] for flag, close in _ITEM_CLOSE.items()}
     cols = [str(j) for j in range(candidates.points.shape[1])]
     pieces = ["[\n" + _ITEM_OPEN]
     for choice, k, flag in zip(
-        candidates.choices.tolist(), corner.tolist(), candidates.feasible.tolist()
+        candidates.choices.tolist(), candidates.corner.tolist(), candidates.feasible.tolist()
     ):
         pieces += (_NUMBER_SEP.join(map(cols.__getitem__, choice)), tails[flag][k])
     pieces[-1] = pieces[-1][: -len(_ITEM_NEXT)] + "\n  ]"

@@ -52,14 +52,16 @@ DEFAULT_CHOICE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class MaxSolution:
-    """Row maxima stacked as an m x n matrix, their componentwise min, and
+    """Row maxima stacked as an m x n matrix, their componentwise min,
     ``fits``: the active entries whose level is at most ``overall`` in
-    their column, within ``CLASSIFY_TOL``.
+    their column, within ``CLASSIFY_TOL``, and ``stranded``: the rows
+    with no fitting entry.
     """
 
     per_row: np.ndarray
     overall: np.ndarray
     fits: np.ndarray
+    stranded: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,20 +85,26 @@ class Candidates:
 
     ``choices`` is ``(N, m)`` with one selector per row, ``points`` is
     ``(N, n)`` with that selector's lower corner, and ``feasible`` is
-    ``(N,)``.  The arrays are made read-only on construction.  ``len()``,
-    indexing and iteration see the rows as :class:`CandidateMinimal`
-    whose ``point`` is a read-only view.  ``stranded`` lists the rows
-    with no active column whose level fits under ``x_max``; when it is
-    nonempty, no candidate is feasible.
+    ``(N,)``.  Selectors share a corner when their points are equal bit
+    for bit, and then share their ``feasible`` flag: ``first`` is
+    ``(K,)``, the first selector of each distinct corner, and ``corner``
+    is ``(N,)``, each selector's index into ``first``.  The arrays are
+    made read-only on construction.  ``len()``, indexing and iteration
+    see the rows as :class:`CandidateMinimal` whose ``point`` is a
+    read-only view.  ``stranded`` lists the rows with no active column
+    whose level fits under ``x_max``; when it is nonempty, no candidate
+    is feasible.
     """
 
     choices: np.ndarray
     points: np.ndarray
     feasible: np.ndarray
+    first: np.ndarray
+    corner: np.ndarray
     stranded: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for arr in (self.choices, self.points, self.feasible):
+        for arr in (self.choices, self.points, self.feasible, self.first, self.corner):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -114,7 +122,7 @@ class Candidates:
 
 
 def max_solution(classification: Classification) -> MaxSolution:
-    """Row maxima, ``x_max`` and the fit mask, from the classification's levels.
+    """Row maxima, ``x_max``, the fit mask and the stranded rows, from the levels.
 
     Raises :class:`InfeasibleRowError` when some row admits no solution.
     """
@@ -122,7 +130,8 @@ def max_solution(classification: Classification) -> MaxSolution:
     per_row = np.where(classification.active, classification.levels, 1.0)
     overall = per_row.min(axis=0)
     fits = classification.active & (per_row <= overall + CLASSIFY_TOL)
-    return MaxSolution(per_row=per_row, overall=overall, fits=fits)
+    stranded = tuple(np.flatnonzero(~fits.any(axis=1)).tolist())
+    return MaxSolution(per_row=per_row, overall=overall, fits=fits, stranded=stranded)
 
 
 def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
@@ -159,8 +168,9 @@ def enumerate_candidates(
     where ``stride_i`` is the product of the later rows' counts, and
     maxes that column's level into the corner.  Every array keeps two
     axes however many rows there are.  A corner fits under
-    ``x_max`` iff every level it picked does; rows where no level fits
-    are recorded in ``stranded``.
+    ``x_max`` iff every level it picked does, i.e. iff it is at most
+    ``x_max + CLASSIFY_TOL`` everywhere, so equal corners fit alike.  One
+    sort of the corners' bytes finds ``first`` and ``corner``.
     """
     classification.require_feasible()
     required = choice_space_size(classification)
@@ -171,7 +181,6 @@ def enumerate_candidates(
     choices = np.empty((required, m), dtype=np.intp)
     points = np.zeros((required, n))
     feasible = np.ones(required, dtype=bool)
-    stranded = []
     stride = required
     for i, row in enumerate(classification.active):
         cols = np.flatnonzero(row).tolist()
@@ -186,17 +195,9 @@ def enumerate_candidates(
         corners = points.reshape(grid + (n,))
         for k, j in enumerate(cols):
             np.maximum(corners[:, k, :, j], level[k], out=corners[:, k, :, j])
-        if not fits.any():
-            stranded.append(i)
-    return Candidates(
-        choices=choices, points=points, feasible=feasible, stranded=tuple(stranded)
-    )
-
-
-def row_keys(points: np.ndarray) -> np.ndarray:
-    """One opaque key per row of ``points``; keys are equal iff the bytes are."""
-    points = np.ascontiguousarray(points)
-    return points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    keys = points.view(np.dtype((np.void, points.itemsize * n))).ravel()
+    _, first, corner = np.unique(keys, return_index=True, return_inverse=True)
+    return Candidates(choices, points, feasible, first, corner, stranded=ms.stranded)
 
 
 def feasible_candidates(candidates: Candidates) -> Candidates:
@@ -204,14 +205,10 @@ def feasible_candidates(candidates: Candidates) -> Candidates:
 
     Distinct selectors can generate bit-identical points; the first
     occurrence in lexicographic selector order is kept, so the result is
-    deterministic.
+    deterministic.  That is the first selector of each feasible corner.
     """
-    rows = np.flatnonzero(candidates.feasible)
-    _, first = np.unique(row_keys(candidates.points[rows]), return_index=True)
-    keep = rows[np.sort(first)]
-    return Candidates(
-        choices=candidates.choices[keep],
-        points=candidates.points[keep],
-        feasible=candidates.feasible[keep],
-        stranded=candidates.stranded,
-    )
+    first, feasible = candidates.first, candidates.feasible
+    keep = np.sort(first[feasible[first]])
+    distinct = np.arange(len(keep))
+    choices, points = candidates.choices[keep], candidates.points[keep]
+    return Candidates(choices, points, feasible[keep], distinct, distinct, candidates.stranded)

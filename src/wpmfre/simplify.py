@@ -9,8 +9,8 @@ Two rewrites zero out matrix entries without changing the solution set:
     some other row pins column ``j`` below the value row ``k`` would
     need, so no solution ever satisfies row ``k`` through ``j``.  This
     is the fit test of ``enumerate_candidates``, read from the same
-    mask.  A row with no fitting entry has no corner at all; it is left
-    as it is, for enumeration to report as stranded.
+    mask.  A row with no fitting entry, a stranded row of
+    ``max_solution``, has no corner at all; it is left as it is.
 
 Both rules read the input's classification, and their zeros are applied
 in one batch: rule one's in row-major order, then rule two's.  The
@@ -67,8 +67,9 @@ def simplify_pipeline(
     simplified problem, the log with the selector-space size before and
     after, and ``classification`` with rule two's entries made inert.
     """
-    fits = max_solution(classification).fits
-    doomed = classification.active & ~fits & fits.any(axis=1)[:, None]
+    ms = max_solution(classification)
+    doomed = classification.active & ~ms.fits
+    doomed[list(ms.stranded)] = False
     A = problem.A.copy()
     entries: list[SimplificationEntry] = []
     for rule, cells in (("first", classification.inert), ("second", doomed)):

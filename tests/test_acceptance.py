@@ -9,8 +9,7 @@ lines for passing criteria as well.
 import time
 
 import numpy as np
-import pytest
-from conftest import GOLDEN, GOLDEN_PATH, STRUCTURE_SEED_COUNT, structure_instance
+from conftest import GOLDEN, STRUCTURE_SEED_COUNT, structure_instance
 
 from wpmfre import (
     EnumerationBudgetError,
@@ -22,7 +21,6 @@ from wpmfre import (
     enumerate_candidates,
     feasible_candidates,
     grid_feasible_set,
-    load_problem,
     max_solution,
     oracle_feasible,
     problem_dumps,

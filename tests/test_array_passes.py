@@ -30,6 +30,7 @@ from wpmfre import (
     choice_space_size,
     classify_all,
     enumerate_candidates,
+    feasible_candidates,
     generate_instance,
     max_solution,
     simplify_pipeline,
@@ -273,6 +274,9 @@ class TestRules:
         assert np.array_equal(after.blocking, again.blocking)
         assert np.array_equal(after.inert, again.inert | moved)
         assert np.array_equal(after.active, again.active & ~moved)
+        # one definition of a stranded row, with and without simplification
+        for cls in (classification, after):
+            assert max_solution(cls).stranded == enumerate_candidates(cls).stranded
         # what is left active fits, apart from the rows with no corner
         stranded = list(enumerate_candidates(after).stranded)
         kept = np.setdiff1d(np.arange(prob.m), stranded)
@@ -294,6 +298,44 @@ class TestRules:
         before, restricted = max_solution(classification), max_solution(after)
         assert bits(restricted.overall) == bits(before.overall)
         assert np.array_equal(restricted.fits, before.fits)
+
+
+class TestCornerArrays:
+    """``first`` and ``corner`` index the distinct corners of an enumeration.
+
+    ``problems()`` draws at most 6x6, so every selector space is at most
+    ``6**6`` and within the default limit.
+    """
+
+    @SETTINGS
+    @given(problems())
+    def test_first_and_corner_against_the_rows(self, prob):
+        classification = classify_all(prob)
+        if classification.infeasible:
+            return
+        _, _, simplified = simplify_pipeline(prob, classification)
+        for cls in (classification, simplified):
+            cands = enumerate_candidates(cls)
+            first, corner = cands.first, cands.corner
+            assert bits(cands.points[first][corner]) == bits(cands.points)
+            assert np.array_equal(corner[first], np.arange(len(first)))
+            assert (first[corner] <= np.arange(len(cands))).all()
+            keys = [point.tobytes() for point in cands.points[first]]
+            assert len(set(keys)) == len(keys)
+            assert np.array_equal(cands.feasible[first][corner], cands.feasible)
+            # the first selector of each distinct point among the feasible rows
+            seen, expected = set(), []
+            for k in np.flatnonzero(cands.feasible).tolist():
+                key = cands.points[k].tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    expected.append(k)
+            distinct = feasible_candidates(cands)
+            assert np.array_equal(distinct.choices, cands.choices[expected])
+            assert bits(distinct.points) == bits(cands.points[expected])
+            assert distinct.feasible.all() and distinct.stranded == cands.stranded
+            assert np.array_equal(distinct.first, np.arange(len(expected)))
+            assert np.array_equal(distinct.corner, np.arange(len(expected)))
 
 
 def solve_outcome(prob, simplify):

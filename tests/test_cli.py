@@ -149,6 +149,20 @@ class TestBudget:
         assert main(["solve", GOLDEN_ARG]) == EXIT_INPUT_ERROR
         assert ENV_LIMIT in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_limit_flag_must_be_positive(self, capsys, value):
+        assert main(["solve", GOLDEN_ARG, "--limit", value]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit must be at least 1" in captured.err
+
+    def test_env_limit_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_LIMIT, "-5")
+        assert main(["solve", GOLDEN_ARG]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ENV_LIMIT} must be at least 1" in captured.err
+
 
 class TestFeasibilityCommand:
     def test_golden(self, capsys):

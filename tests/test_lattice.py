@@ -21,7 +21,6 @@ from wpmfre import (
     max_solution,
     minimal_solution_row,
     wpm,
-    wpm_inverse,
 )
 
 P = WpmParams(0.75, 3.0)

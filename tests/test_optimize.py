@@ -64,10 +64,14 @@ def small_instances(count, start=0, cap=256):
 
 
 def candidate_arrays(choices, points, feasible):
+    keys = [np.asarray(point, dtype=float).tobytes() for point in points]
+    corners = list(dict.fromkeys(keys))
     return Candidates(
         choices=np.array(choices, dtype=np.intp),
         points=np.array(points, dtype=float),
         feasible=np.array(feasible, dtype=bool),
+        first=np.array([keys.index(key) for key in corners], dtype=np.intp),
+        corner=np.array([corners.index(key) for key in keys], dtype=np.intp),
     )
 
 
@@ -261,7 +265,8 @@ class TestDecideFeasibility:
 
 
 class TestWorkCount:
-    """``solve`` classifies and checks membership a fixed number of times.
+    """``solve`` classifies, checks membership and sorts its corners a
+    fixed number of times.
 
     Neither ``solve`` nor the feasibility decision calls the scalar
     inverse: every level comes from one array pass.  A feasible ``solve``
@@ -350,6 +355,24 @@ class TestWorkCount:
         monkeypatch.setattr(np, "float_power", counted)
         assert main([command[0], str(path), *command[1:]]) == 0
         assert len(matrix_calls) == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--no-simplify"]], ids=["simplify", "no-simplify"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: load_problem(str(GOLDEN_PATH)),
+            lambda: generate_instance(12, 12, P, 0),
+            lambda: tiny(np.full((6, 6), 0.6), np.full(6, 0.6), np.linspace(-1, 1, 6)),
+        ],
+        ids=["golden", "generated-12x12", "degenerate-6x6"],
+    )
+    def test_one_corner_sort_per_solve(self, monkeypatch, tmp_path, make, flags):
+        # enumeration finds the distinct corners; the scan and the writer reuse them
+        path = tmp_path / "problem.json"
+        path.write_text(problem_dumps(make()))
+        calls = self.count(monkeypatch, [(np, "unique")])
+        assert main(["solve", str(path), *flags]) == 0
+        assert calls == {"unique": 1}
 
 
 class TestSolveRandom:

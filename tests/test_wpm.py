@@ -1,7 +1,5 @@
 """Operator kernel: parameter validation, golden values, algebraic laws."""
 
-import math
-
 import numpy as np
 import pytest
 
