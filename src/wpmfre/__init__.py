@@ -34,7 +34,6 @@ from .io import (
 )
 from .lattice import (
     DEFAULT_CHOICE_LIMIT,
-    CandidateMinimal,
     Candidates,
     MaxSolution,
     choice_space_size,
@@ -46,7 +45,6 @@ from .lattice import (
 from .model import (
     Classification,
     Problem,
-    RowClassification,
     classify_all,
 )
 from .optimize import (
@@ -68,7 +66,6 @@ from .oracle import (
     oracle_feasible,
 )
 from .simplify import (
-    SimplificationEntry,
     SimplificationLog,
     simplify_pipeline,
 )
@@ -79,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "CLASSIFY_TOL",
-    "CandidateMinimal",
     "Candidates",
     "Classification",
     "DEFAULT_CHOICE_LIMIT",
@@ -100,11 +96,9 @@ __all__ = [
     "ParameterDomainError",
     "Problem",
     "ProblemFormatError",
-    "RowClassification",
     "STATUS_BUDGET_EXCEEDED",
     "STATUS_INFEASIBLE",
     "STATUS_OPTIMAL",
-    "SimplificationEntry",
     "SimplificationLog",
     "SolveReport",
     "WpmFreError",

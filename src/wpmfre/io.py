@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProblemFormatError
-from .lattice import CandidateMinimal, Candidates
+from .lattice import Candidates
 from .model import Problem
 from .optimize import SolveReport
 from .simplify import SimplificationLog
@@ -135,17 +135,18 @@ def load_point(path: str) -> np.ndarray:
         return parse_point(fh.read())
 
 
-def _candidate_to_dict(cand: CandidateMinimal) -> dict:
-    return {
-        "e": list(cand.choice),
-        "point": cand.point.tolist(),
-        "feasible": cand.feasible,
-    }
+def _candidates_to_list(candidates: Candidates) -> list[dict]:
+    return [
+        {"e": choice, "point": point, "feasible": feasible}
+        for choice, point, feasible in zip(
+            candidates.choices.tolist(), candidates.points.tolist(), candidates.feasible.tolist()
+        )
+    ]
 
 
 def _log_to_dict(log: SimplificationLog) -> dict:
     return {
-        "entries": [entry._asdict() for entry in log.entries],
+        "entries": [dict(zip(log.entries.dtype.names, e)) for e in log.entries.tolist()],
         "choices_before": log.choices_before,
         "choices_after": log.choices_after,
     }
@@ -163,9 +164,7 @@ def report_to_dict(report: SolveReport) -> dict:
         "candidates_total": report.candidates_total,
         "candidates_feasible": report.candidates_feasible,
         "candidates": (
-            None
-            if report.candidates is None
-            else [_candidate_to_dict(c) for c in report.candidates]
+            None if report.candidates is None else _candidates_to_list(report.candidates)
         ),
         "simplification": (
             None if report.simplification is None else _log_to_dict(report.simplification)
@@ -227,7 +226,7 @@ def _log_dumps(log: SimplificationLog | None) -> str:
     if log is None:
         return "null"
     # an entry is a tuple in the template's order, and ``%s`` of a float is its repr
-    entries = ",\n".join(map(_ENTRY.__mod__, log.entries))
+    entries = ",\n".join(map(_ENTRY.__mod__, log.entries.tolist()))
     listed = "[\n" + entries + "\n    ]" if entries else "[]"
     return _LOG % (listed, log.choices_before, log.choices_after)
 

@@ -19,13 +19,13 @@ that share one global upper corner:
 
 The selector space has ``prod_i |active(i)|`` elements, exponential in the
 number of rows, so enumeration is guarded by an explicit budget checked
-before any expansion.
+before any expansion.  Enumeration returns the candidates as arrays, one
+row per selector.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,6 @@ from .wpm import CLASSIFY_TOL, wpm_inverse
 __all__ = [
     "DEFAULT_CHOICE_LIMIT",
     "MaxSolution",
-    "CandidateMinimal",
     "Candidates",
     "max_solution",
     "minimal_solution_row",
@@ -64,21 +63,6 @@ class MaxSolution:
     stranded: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CandidateMinimal:
-    """Lower corner generated by one selector vector.
-
-    ``choice[i]`` is the active column selected for row ``i``; ``point``
-    is the componentwise max of the selected row-minimal points; and
-    ``feasible`` records whether ``point`` fits under the global maximum
-    solution (within ``CLASSIFY_TOL``), i.e. whether its cell is nonempty.
-    """
-
-    choice: tuple[int, ...]
-    point: np.ndarray
-    feasible: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Candidates:
     """Candidate lower corners as arrays, one row per selector.
@@ -89,11 +73,9 @@ class Candidates:
     for bit, and then share their ``feasible`` flag: ``first`` is
     ``(K,)``, the first selector of each distinct corner, and ``corner``
     is ``(N,)``, each selector's index into ``first``.  The arrays are
-    made read-only on construction.  ``len()``, indexing and iteration
-    see the rows as :class:`CandidateMinimal` whose ``point`` is a
-    read-only view.  ``stranded`` lists the rows with no active column
-    whose level fits under ``x_max``; when it is nonempty, no candidate
-    is feasible.
+    made read-only on construction, and ``len()`` counts the selectors.
+    ``stranded`` lists the rows with no active column whose level fits
+    under ``x_max``; when it is nonempty, no candidate is feasible.
     """
 
     choices: np.ndarray
@@ -109,16 +91,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.feasible)
-
-    def __getitem__(self, k: int) -> CandidateMinimal:
-        return CandidateMinimal(
-            choice=tuple(self.choices[k].tolist()),
-            point=self.points[k],
-            feasible=bool(self.feasible[k]),
-        )
-
-    def __iter__(self) -> Iterator[CandidateMinimal]:
-        return map(self.__getitem__, range(len(self)))
 
 
 def max_solution(classification: Classification) -> MaxSolution:
@@ -140,10 +112,10 @@ def minimal_solution_row(problem: Problem, i: int, j: int) -> np.ndarray:
     The inverse value at position ``j`` and 0 elsewhere.  ``j`` must be an
     active column of row ``i``.
     """
-    cls = classify_all(problem)[i]
-    if j not in cls.active:
+    active = np.flatnonzero(classify_all(problem).active[i])
+    if j not in active:
         raise InactiveColumnError(
-            f"column {j} is not active in row {i} (active: {list(cls.active)})"
+            f"column {j} is not active in row {i} (active: {active.tolist()})"
         )
     x = np.zeros(problem.n)
     x[j] = wpm_inverse(float(problem.A[i, j]), float(problem.b[i]), problem.params)

@@ -23,12 +23,11 @@ The groups are the masks of one array pass over the matrix,
 a coefficient exactly on a boundary active, matching the closed
 (non-strict) solvability conditions of the inverse.  The same pass
 yields every entry's attainment level.  A :class:`Classification` keeps
-the masks and the levels; its rows are views.
+the masks and the levels, and nothing else.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .wpm import WpmParams, entry_pass
 
 __all__ = [
     "Problem",
-    "RowClassification",
     "Classification",
     "classify_all",
 ]
@@ -103,16 +101,6 @@ class Problem:
         return Problem(A, self.b, self.c, self.params)
 
 
-@dataclass(frozen=True)
-class RowClassification:
-    """Disjoint column groups of one row; together they cover all columns."""
-
-    row: int
-    blocking: tuple[int, ...]
-    inert: tuple[int, ...]
-    active: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Classification:
     """Every entry of a problem as blocking, inert or active.
@@ -120,10 +108,9 @@ class Classification:
     ``blocking``, ``inert`` and ``active`` are read-only ``(m, n)`` masks
     that partition the entries, ``levels`` holds every entry's inverse
     (valid where active), and ``infeasible`` lists the rows with a
-    blocking column or no active column.  ``len()``, indexing and
-    iteration see the rows as :class:`RowClassification`.  In the
-    classification that ``simplify_pipeline`` returns, "inert" also
-    covers rule two's entries: active ones that no solution attains.
+    blocking column or no active column.  In the classification that
+    ``simplify_pipeline`` returns, "inert" also covers rule two's entries:
+    active ones that no solution attains.
     """
 
     blocking: np.ndarray
@@ -136,26 +123,27 @@ class Classification:
         for arr in (self.blocking, self.inert, self.active, self.levels):
             arr.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.active)
-
-    def __getitem__(self, i: int) -> RowClassification:
-        i = range(len(self))[i]
-        masks = (self.blocking, self.inert, self.active)
-        return RowClassification(i, *(tuple(np.flatnonzero(mask[i]).tolist()) for mask in masks))
-
-    def __iter__(self) -> Iterator[RowClassification]:
-        return map(self.__getitem__, range(len(self)))
+    def first_infeasible(self) -> dict | None:
+        """The ``infeasible_row`` diagnostic of the first infeasible row, or None."""
+        if not self.infeasible:
+            return None
+        i = self.infeasible[0]
+        return {
+            "reason": "infeasible_row",
+            "row": i,
+            "blocking_columns": np.flatnonzero(self.blocking[i]).tolist(),
+            "active_columns": np.flatnonzero(self.active[i]).tolist(),
+        }
 
     def require_feasible(self) -> None:
         """Raise :class:`InfeasibleRowError` naming the first infeasible row."""
-        if self.infeasible:
-            cls = self[self.infeasible[0]]
+        diagnostic = self.first_infeasible()
+        if diagnostic is not None:
+            _, row, blocking, active = diagnostic.values()
             raise InfeasibleRowError(
-                cls.row,
-                f"row {cls.row} is infeasible: "
-                f"blocking columns {list(cls.blocking)}, "
-                f"{len(cls.active)} active columns",
+                row,
+                f"row {row} is infeasible: blocking columns {blocking}, "
+                f"{len(active)} active columns",
             )
 
 

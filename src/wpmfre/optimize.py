@@ -84,14 +84,9 @@ def decide_feasibility(problem: Problem) -> tuple[
     None, or ``"maximum_point_not_solution"``.
     """
     classification = classify_all(problem)
-    if classification.infeasible:
-        cls = classification[classification.infeasible[0]]
-        return classification, None, None, {
-            "reason": "infeasible_row",
-            "row": cls.row,
-            "blocking_columns": list(cls.blocking),
-            "active_columns": list(cls.active),
-        }
+    diagnostic = classification.first_infeasible()
+    if diagnostic is not None:
+        return classification, None, None, diagnostic
     x_max = max_solution(classification).overall
     member, residuals = check_membership(problem, x_max, FEASIBILITY_TOL)
     diagnostic = None if member else {

@@ -81,7 +81,8 @@ def check_membership(
 
     The residual of row ``i`` is ``|max_j wpm(A[i,j], x[j]) - b[i]|``;
     every entry is evaluated in one broadcast call of the operator.  A
-    tolerance that is not finite or is negative raises :class:`DomainError`.
+    tolerance that is not finite or is negative, or a coordinate outside
+    [0, 1], raises :class:`DomainError`; the message names the coordinate.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -90,8 +91,10 @@ def check_membership(
         raise DimensionError(
             f"point must have length {problem.n}, got shape {x_arr.shape}"
         )
-    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
-        raise DomainError(f"point must lie in the unit box, got {x_arr!r}")
+    inside = (x_arr >= 0.0) & (x_arr <= 1.0)
+    if not np.all(inside):
+        j = int(np.argmin(inside))
+        raise DomainError(f"x[{j}] = {x_arr[j]} lies outside [0, 1]")
     values = np.max(wpm(problem.A, x_arr[None, :], problem.params), axis=1)
     residuals = np.abs(values - problem.b)
     return bool(np.all(residuals <= tol)), residuals

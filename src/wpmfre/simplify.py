@@ -13,7 +13,8 @@ Two rewrites zero out matrix entries without changing the solution set:
     ``max_solution``, has no corner at all; it is left as it is.
 
 Both rules read the input's classification, and their zeros are applied
-in one batch: rule one's in row-major order, then rule two's.  The
+in one batch: rule one's in row-major order, then rule two's.  The log
+holds the zeroed cells in that order as one structured array.  The
 classification returned is the input's with rule two's entries moved
 from active to inert, which multiplies down the selector-space size; a
 zero coefficient can be active again where ``b[i]**p <= 1 - w``, but it
@@ -24,8 +25,6 @@ move, so a second pass would zero nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,28 +32,29 @@ from .lattice import choice_space_size, max_solution
 from .model import Classification, Problem
 
 __all__ = [
-    "SimplificationEntry",
     "SimplificationLog",
     "simplify_pipeline",
 ]
 
-
-class SimplificationEntry(NamedTuple):
-    """One zeroed cell: which rule fired, where, and the value it erased."""
-
-    rule: str  # "first" or "second"
-    row: int
-    col: int
-    old_value: float
+#: One zeroed cell: which rule fired ("first" or "second"), where, and
+#: the value it erased.
+_ENTRY_DTYPE = np.dtype([("rule", "U6"), ("row", np.intp), ("col", np.intp), ("old_value", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplificationLog:
-    """Ordered audit of zeroed cells plus selector-space sizes around them."""
+    """Ordered audit of zeroed cells plus selector-space sizes around them.
 
-    entries: tuple[SimplificationEntry, ...]
+    ``entries`` is a read-only structured array with the fields ``rule``,
+    ``row``, ``col`` and ``old_value``, one element per zeroed cell.
+    """
+
+    entries: np.ndarray
     choices_before: int
     choices_after: int
+
+    def __post_init__(self) -> None:
+        self.entries.setflags(write=False)
 
 
 def simplify_pipeline(
@@ -71,15 +71,16 @@ def simplify_pipeline(
     doomed = classification.active & ~ms.fits
     doomed[list(ms.stranded)] = False
     A = problem.A.copy()
-    entries: list[SimplificationEntry] = []
+    parts = []
     for rule, cells in (("first", classification.inert), ("second", doomed)):
         rows, cols = np.nonzero(cells & (A != 0.0))
-        values = A[rows, cols].tolist()
-        entries += map(SimplificationEntry, repeat(rule), rows.tolist(), cols.tolist(), values)
+        part = np.empty(rows.size, _ENTRY_DTYPE)
+        part["rule"], part["row"], part["col"], part["old_value"] = rule, rows, cols, A[rows, cols]
+        parts.append(part)
         A[rows, cols] = 0.0
     after = replace(
         classification, inert=classification.inert | doomed, active=classification.active & ~doomed
     )
     before = choice_space_size(classification)
-    log = SimplificationLog(tuple(entries), before, choice_space_size(after))
+    log = SimplificationLog(np.concatenate(parts), before, choice_space_size(after))
     return problem.with_matrix(A), log, after

@@ -86,9 +86,12 @@ class WpmParams:
 
 
 def _require_unit(name: str, value: ArrayLike) -> np.ndarray:
+    """``value`` as a float array; :class:`DomainError` names its first entry outside [0, 1]."""
     arr = np.asarray(value, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    inside = (arr >= 0.0) & (arr <= 1.0)
+    if not np.all(inside):
+        where = tuple(np.argwhere(~inside)[0].tolist())
+        raise DomainError(f"{name}{list(where) or ''} = {arr[where]} lies outside [0, 1]")
     return arr
 
 

@@ -91,6 +91,22 @@ def structure_instance(
     return generate_instance(m, n, WpmParams(w, p), seed=seed + 10_000)
 
 
+def columns(mask_row: np.ndarray) -> tuple[int, ...]:
+    """The columns set in one row of a mask, in ascending order."""
+    return tuple(np.flatnonzero(mask_row).tolist())
+
+
+def row_groups(classification) -> list[tuple[tuple[int, ...], ...]]:
+    """Every row's ``(blocking, inert, active)`` columns, from the masks."""
+    masks = (classification.blocking, classification.inert, classification.active)
+    return [tuple(columns(mask[i]) for mask in masks) for i in range(len(classification.active))]
+
+
+def selectors(candidates) -> list[tuple[int, ...]]:
+    """Every candidate's selector, as a tuple of columns."""
+    return list(map(tuple, candidates.choices.tolist()))
+
+
 def row_values(problem: Problem, points: np.ndarray) -> np.ndarray:
     """Composed value of every row at every point; shape (len(points), m)."""
     points = np.atleast_2d(points)

@@ -9,7 +9,7 @@ lines for passing criteria as well.
 import time
 
 import numpy as np
-from conftest import GOLDEN, STRUCTURE_SEED_COUNT, structure_instance
+from conftest import GOLDEN, STRUCTURE_SEED_COUNT, columns, structure_instance
 
 from wpmfre import (
     EnumerationBudgetError,
@@ -81,8 +81,8 @@ class TestAcceptance:
         )
         expected_active = [{j - 1 for j in row} for row in active_rows]
         expected_inert = [{j - 1 for j in row} for row in inert_rows]
-        got_active = [set(cls.active) for cls in classifications]
-        got_inert = [set(cls.inert) for cls in classifications]
+        got_active = [set(columns(row)) for row in classifications.active]
+        got_inert = [set(columns(row)) for row in classifications.inert]
         sets_ok = got_active == expected_active and got_inert == expected_inert
         ok = sets_ok and elapsed < 1.0
         emit(1, ok, f"set equality {sets_ok}, runtime {elapsed * 1e3:.2f} ms")
@@ -181,7 +181,7 @@ class TestAcceptance:
             if oracle_feasible(prob) != report.feasible:
                 bad_agree.append(seed)
             distinct = feasible_candidates(entry["candidates"])
-            for point in [cand.point for cand in distinct] + [entry["x_max"]]:
+            for point in [*distinct.points, entry["x_max"]]:
                 if not check_membership(prob, point, tol=1e-6)[0]:
                     bad_member.append(seed)
                     break
@@ -189,8 +189,8 @@ class TestAcceptance:
             after = feasible_candidates(
                 enumerate_candidates(classify_all(simplified))
             )
-            before_pts = sorted(tuple(cand.point) for cand in distinct)
-            after_pts = sorted(tuple(cand.point) for cand in after)
+            before_pts = sorted(map(tuple, distinct.points))
+            after_pts = sorted(map(tuple, after.points))
             if len(before_pts) != len(after_pts):
                 bad_preserve.append(seed)
             elif before_pts and np.max(
@@ -242,13 +242,13 @@ class TestAcceptance:
                 bumps_checked += 1
                 if check_membership(prob, bumped, tol=VIOLATION_FLOOR)[0]:
                     bumps_failed.append((seed, j))
-            for cand in feasible_candidates(entry["candidates"]):
+            for point in feasible_candidates(entry["candidates"]).points:
                 for j in range(prob.n):
-                    if cand.point[j] <= 0.0:
+                    if point[j] <= 0.0:
                         continue
-                    if cand.point[j] < DELTA:
+                    if point[j] < DELTA:
                         continue  # reduction leaves the unit box
-                    reduced = cand.point.copy()
+                    reduced = point.copy()
                     reduced[j] -= DELTA
                     cuts_checked += 1
                     if check_membership(prob, reduced, tol=VIOLATION_FLOOR)[0]:

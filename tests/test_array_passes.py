@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import columns, row_groups
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,17 +118,18 @@ def scalar_rule_two_cells(prob, classifications):
     minimum level over the active rows by more than ``CLASSIFY_TOL``, but
     only in a row that keeps at least one active entry within that bound.
     """
+    active = [columns(row) for row in classifications.active]
     levels = {
-        (cls.row, j): scalar_level(float(prob.A[cls.row, j]), float(prob.b[cls.row]), prob.params)
-        for cls in classifications
-        for j in cls.active
+        (i, j): scalar_level(float(prob.A[i, j]), float(prob.b[i]), prob.params)
+        for i, cols in enumerate(active)
+        for j in cols
     }
     x_max = [min([v for (_, j), v in levels.items() if j == col], default=1.0) for col in range(prob.n)]
     cells = []
-    for cls in classifications:
-        doomed = [j for j in cls.active if levels[cls.row, j] > x_max[j] + CLASSIFY_TOL]
-        if len(doomed) < len(cls.active):
-            cells += [(cls.row, j) for j in doomed]
+    for i, cols in enumerate(active):
+        doomed = [j for j in cols if levels[i, j] > x_max[j] + CLASSIFY_TOL]
+        if len(doomed) < len(cols):
+            cells += [(i, j) for j in doomed]
     return cells
 
 
@@ -147,10 +149,10 @@ class TestClassification:
     def test_masks_match_scalar_classification(self, prob):
         expected = scalar_groups(prob)
         got = classify_all(prob)
-        assert [(c.blocking, c.inert, c.active) for c in got] == expected
-        assert [c.row for c in got] == list(range(prob.m))
+        assert row_groups(got) == expected
+        assert got.active.shape == (prob.m, prob.n)
         for i in (0, prob.m - 1):
-            assert classify_all(prob)[i] == got[i]
+            assert row_groups(classify_all(prob))[i] == row_groups(got)[i]
 
     def test_entries_one_float_around_every_threshold(self):
         # numpy's array ``**`` rounds some of these thresholds differently
@@ -168,8 +170,7 @@ class TestClassification:
                     row += [float(np.nextafter(edge, step * np.inf)) for step in (-1, 1)] + [edge]
                 rows.append(np.clip(row, 0.0, 1.0))
             prob = Problem(np.array(rows), b, np.zeros(6), params)
-            got = [(c.blocking, c.inert, c.active) for c in classify_all(prob)]
-            assert got == scalar_groups(prob)
+            assert row_groups(classify_all(prob)) == scalar_groups(prob)
 
     def test_underflowing_blocking_scale(self):
         # w**(1/p) == 0.0 here: a threshold of b / 0 used to raise
@@ -190,12 +191,11 @@ class TestLevels:
             return
         ms = max_solution(classifications)
         expected = np.ones((prob.m, prob.n))
-        for cls in classifications:
-            for j in cls.active:
-                a, t = float(prob.A[cls.row, j]), float(prob.b[cls.row])
-                expected[cls.row, j] = scalar_level(a, t, prob.params)
-                assert bits(wpm_inverse(a, t, prob.params)) == bits(expected[cls.row, j])
-                assert bits(classifications.levels[cls.row, j]) == bits(expected[cls.row, j])
+        for i, j in np.argwhere(classifications.active).tolist():
+            a, t = float(prob.A[i, j]), float(prob.b[i])
+            expected[i, j] = scalar_level(a, t, prob.params)
+            assert bits(wpm_inverse(a, t, prob.params)) == bits(expected[i, j])
+            assert bits(classifications.levels[i, j]) == bits(expected[i, j])
         assert bits(ms.per_row) == bits(expected)
         assert bits(ms.overall) == bits(expected.min(axis=0))
 
@@ -203,7 +203,7 @@ class TestLevels:
 def pipeline_entries(prob, rule):
     """The pipeline's log entries of one rule, as ``(rule, row, col, old value)``."""
     _, log, _ = simplify_pipeline(prob, classify_all(prob))
-    return [(e.rule, e.row, e.col, e.old_value) for e in log.entries if e.rule == rule]
+    return log.entries[log.entries["rule"] == rule].tolist()
 
 
 def masks(classification):
@@ -228,10 +228,9 @@ class TestRules:
         if classifications.infeasible:
             return
         expected = [
-            ("first", cls.row, j, float(prob.A[cls.row, j]))
-            for cls in classifications
-            for j in cls.inert
-            if prob.A[cls.row, j] != 0.0
+            ("first", i, j, float(prob.A[i, j]))
+            for i, j in np.argwhere(classifications.inert).tolist()
+            if prob.A[i, j] != 0.0
         ]
         assert pipeline_entries(prob, "first") == expected
 
@@ -252,7 +251,7 @@ class TestRules:
             return
         once, log, after = simplify_pipeline(prob, classification)
         again, log_again, _ = simplify_pipeline(once, after)
-        assert log_again.entries == ()
+        assert len(log_again.entries) == 0
         assert log_again.choices_before == log_again.choices_after == log.choices_after
         assert bits(again.A) == bits(once.A)
 
@@ -285,7 +284,7 @@ class TestRules:
         assert not fits[stranded].any()
         # a second pass keeps the masks and zeroes nothing
         _, log_again, after_again = simplify_pipeline(once, after)
-        assert log_again.entries == ()
+        assert len(log_again.entries) == 0
         assert masks(after_again) == masks(after)
 
     @SETTINGS
@@ -298,6 +297,48 @@ class TestRules:
         before, restricted = max_solution(classification), max_solution(after)
         assert bits(restricted.overall) == bits(before.overall)
         assert np.array_equal(restricted.fits, before.fits)
+
+
+def check_log_against_masks(prob):
+    """The log's cells, values and order, and the zeros they leave, from the masks.
+
+    Returns the log, or None when a row is infeasible.
+    """
+    classification = classify_all(prob)
+    if classification.infeasible:
+        return None
+    simplified, log, _ = simplify_pipeline(prob, classification)
+    entries, A = log.entries, prob.A
+    assert entries.dtype.names == ("rule", "row", "col", "old_value")
+    cells = np.stack([entries["row"], entries["col"]], axis=1)
+    first = entries["rule"] == "first"
+    # rule one's cells come first, then rule two's, each in row-major order
+    assert np.array_equal(first, np.arange(len(entries)) < np.count_nonzero(first))
+    assert (entries["rule"][~first] == "second").all()
+    assert np.array_equal(cells[first], np.argwhere(classification.inert & (A != 0.0)))
+    ms = max_solution(classification)
+    unfitting = classification.active & ~ms.fits
+    unfitting[list(ms.stranded)] = False
+    assert np.array_equal(cells[~first], np.argwhere(unfitting & (A != 0.0)))
+    assert bits(entries["old_value"]) == bits(A[entries["row"], entries["col"]])
+    zeroed = np.zeros(A.shape, dtype=bool)
+    zeroed[entries["row"], entries["col"]] = True
+    assert bits(simplified.A) == bits(np.where(zeroed, 0.0, A))
+    assert not entries.flags.writeable
+    with pytest.raises(ValueError):
+        entries["old_value"][...] = 0.0
+    return log
+
+
+class TestArrayLog:
+    @SETTINGS
+    @given(problems())
+    def test_log_matches_masks(self, prob):
+        check_log_against_masks(prob)
+
+    def test_log_matches_masks_at_100x100(self):
+        log = check_log_against_masks(generate_instance(100, 100, WpmParams(0.75, 3.0), 4))
+        assert len(log.entries) == 9833
 
 
 class TestCornerArrays:
@@ -379,7 +420,10 @@ class TestInfeasibleRows:
     @given(problems())
     def test_infeasible_rows_match_row_views(self, prob):
         classification = classify_all(prob)
-        expected = [cls.row for cls in classification if cls.blocking or not cls.active]
+        expected = [
+            i for i, (blocking, _, active) in enumerate(row_groups(classification))
+            if blocking or not active
+        ]
         assert list(classification.infeasible) == expected
 
 
@@ -390,7 +434,7 @@ class TestExactSelectorCounts:
         params = WpmParams(0.75, 3.0)
         prob = Problem(np.full((16, 16), 0.6), np.full(16, 0.6), np.ones(16), params)
         classifications = classify_all(prob)
-        assert all(len(cls.active) == 16 for cls in classifications)
+        assert all(len(columns(row)) == 16 for row in classifications.active)
         assert choice_space_size(classifications) == 16**16
         with pytest.raises(EnumerationBudgetError) as info:
             enumerate_candidates(classifications)

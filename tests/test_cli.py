@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from conftest import GOLDEN, GOLDEN_PATH
 
-from wpmfre import WpmParams, classify_all, max_solution, wpm
+from wpmfre import (
+    WpmParams,
+    classify_all,
+    generate_instance,
+    max_solution,
+    problem_to_dict,
+    wpm,
+)
 from wpmfre.cli import (
     ENV_LIMIT,
     EXIT_BUDGET,
@@ -262,6 +269,19 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be finite and nonnegative" in captured.err
+
+    def test_point_outside_unit_box_names_the_coordinate(self, tmp_path, capsys):
+        problem = write_problem(
+            tmp_path, "wide.json", problem_to_dict(generate_instance(2, 1000, P, 0))
+        )
+        x = [0.5] * 999 + [1.5]
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(x), encoding="utf-8")
+        assert main(["verify", problem, str(path)]) == EXIT_INPUT_ERROR == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "x[999] = 1.5 lies outside [0, 1]\n"
+        assert len(captured.err) < 200
 
 
 class TestGenerateCommand:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, relaxed_union_bounds, row_values, structure_instance
+from conftest import GOLDEN, relaxed_union_bounds, row_values, selectors, structure_instance
 
 from wpmfre import (
     CLASSIFY_TOL,
@@ -127,12 +127,12 @@ class TestEnumerate:
         cls = classify_all(golden_problem)
         candidates = enumerate_candidates(cls)
         expected = list(itertools.product(*GOLDEN["active"]))
-        assert [cand.choice for cand in candidates] == expected
+        assert selectors(candidates) == expected
 
     def test_golden_feasible_candidates(self, golden_problem):
         cls = classify_all(golden_problem)
         distinct = feasible_candidates(enumerate_candidates(cls))
-        by_choice = {cand.choice: cand.point for cand in distinct}
+        by_choice = dict(zip(selectors(distinct), distinct.points))
         assert set(by_choice) == {(1, 0, 4, 2, 3), (1, 0, 5, 2, 3)}
         assert by_choice[(1, 0, 5, 2, 3)] == pytest.approx(
             GOLDEN["candidate_points"][0], abs=1e-4
@@ -144,8 +144,9 @@ class TestEnumerate:
     def test_feasible_flag_matches_maximum(self, golden_problem):
         cls = classify_all(golden_problem)
         x_max = max_solution(cls).overall
-        for cand in enumerate_candidates(cls):
-            assert cand.feasible == bool(np.all(cand.point <= x_max + CLASSIFY_TOL))
+        candidates = enumerate_candidates(cls)
+        for point, feasible in zip(candidates.points, candidates.feasible.tolist()):
+            assert feasible == bool(np.all(point <= x_max + CLASSIFY_TOL))
 
     def test_budget_checked_before_expansion(self, golden_problem):
         cls = classify_all(golden_problem)
@@ -159,11 +160,13 @@ class TestEnumerate:
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
         cls = classify_all(prob)
         candidates = enumerate_candidates(cls)
-        assert [cand.choice for cand in candidates] == [(0,), (1,)]
-        for cand in candidates:
-            assert cand.feasible
-            expected = minimal_solution_row(prob, 0, cand.choice[0])
-            assert np.array_equal(cand.point, expected)
+        assert selectors(candidates) == [(0,), (1,)]
+        for choice, point, feasible in zip(
+            selectors(candidates), candidates.points, candidates.feasible.tolist()
+        ):
+            assert feasible
+            expected = minimal_solution_row(prob, 0, choice[0])
+            assert np.array_equal(point, expected)
 
     def test_infeasible_row_rejected(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
@@ -172,24 +175,25 @@ class TestEnumerate:
 
     def test_points_read_only(self, golden_problem):
         cls = classify_all(golden_problem)
-        cand = enumerate_candidates(cls)[0]
+        point = enumerate_candidates(cls).points[0]
         with pytest.raises(ValueError):
-            cand.point[0] = 0.5
+            point[0] = 0.5
 
 
 class TestCells:
     def test_feasible_candidates_are_solutions(self):
         for prob, cls in feasible_structure_instances(40, start=0):
-            for cand in feasible_candidates(enumerate_candidates(cls)):
-                member, residuals = check_membership(prob, cand.point)
-                assert member, (prob.params, cand.choice, residuals)
+            distinct = feasible_candidates(enumerate_candidates(cls))
+            for choice, point in zip(selectors(distinct), distinct.points):
+                member, residuals = check_membership(prob, point)
+                assert member, (prob.params, choice, residuals)
 
     def test_cells_filled_with_solutions(self):
         rng = np.random.default_rng(2024)
         for prob, cls in feasible_structure_instances(15, start=300):
             x_max = max_solution(cls).overall
-            for cand in feasible_candidates(enumerate_candidates(cls)):
-                lo = np.minimum(cand.point, x_max)
+            for point in feasible_candidates(enumerate_candidates(cls)).points:
+                lo = np.minimum(point, x_max)
                 u = rng.uniform(size=(50, prob.n))
                 points = lo + u * (x_max - lo)
                 values = row_values(prob, points)
@@ -221,7 +225,7 @@ class TestCells:
         delta = 1e-3
         for prob, cls in feasible_structure_instances(40, start=900):
             distinct = feasible_candidates(enumerate_candidates(cls))
-            points = [cand.point for cand in distinct]
+            points = list(distinct.points)
             for idx, point in enumerate(points):
                 dominated = any(
                     k != idx and np.all(other <= point + 1e-12)

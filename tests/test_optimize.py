@@ -5,10 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import DATA_DIR, GOLDEN, GOLDEN_PATH, structure_instance
+from conftest import DATA_DIR, GOLDEN, GOLDEN_PATH, columns, row_groups, structure_instance
 
 import wpmfre.lattice
-import wpmfre.model
 import wpmfre.optimize
 import wpmfre.simplify
 from wpmfre import (
@@ -19,6 +18,7 @@ from wpmfre import (
     Candidates,
     FEASIBILITY_TOL,
     InfeasibleProblemError,
+    InfeasibleRowError,
     MembershipError,
     Problem,
     WpmParams,
@@ -108,7 +108,7 @@ class TestSolveZ2:
         only = candidate_arrays([(1,)], [[0.0, 0.6]], [True])
         choice, point = solve_z2(only, np.array([5.0, 5.0]))
         assert choice == (1,)
-        assert np.array_equal(point, only[0].point)
+        assert np.array_equal(point, only.points[0])
 
     def test_first_of_equal_costs_wins(self):
         cands = candidate_arrays(
@@ -215,7 +215,7 @@ class TestSolveDegenerate:
         cls = classify_all(prob)
         ms = max_solution(cls)
         for i in range(prob.m):
-            active = list(cls[i].active)
+            active = list(columns(cls.active[i]))
             fits = ms.per_row[i, active] <= ms.overall[active] + CLASSIFY_TOL
             assert fits.any() == (i not in report.diagnostic["rows"])
 
@@ -249,7 +249,7 @@ class TestDecideFeasibility:
     def test_golden_feasible(self, golden_problem):
         cls, x_max, residuals, diagnostic = decide_feasibility(golden_problem)
         assert diagnostic is None
-        assert list(cls) == list(classify_all(golden_problem))
+        assert row_groups(cls) == row_groups(classify_all(golden_problem))
         assert np.array_equal(x_max, max_solution(cls).overall)
         assert np.array_equal(residuals, check_membership(golden_problem, x_max)[1])
 
@@ -263,14 +263,38 @@ class TestDecideFeasibility:
         assert diagnostic == report.diagnostic
         assert (x_max is None) == (residuals is None) == (report.x_max is None)
 
+    @pytest.mark.parametrize(
+        "A, b, row, blocking, active",
+        [
+            ([[1.0], [0.5]], [0.5, 0.5], 0, [0], []),
+            ([[0.5, 0.5], [0.1, 0.05]], [0.5, 0.99], 1, [], []),
+            ([[1.0, 0.5]], [0.5], 0, [0], [1]),
+        ],
+        ids=["blocking", "no-active-column", "blocking-beside-active"],
+    )
+    def test_diagnostic_and_error_describe_the_same_row(self, A, b, row, blocking, active):
+        prob = tiny(A, b)
+        diagnostic = decide_feasibility(prob)[-1]
+        assert list(diagnostic.items()) == [
+            ("reason", "infeasible_row"),
+            ("row", row),
+            ("blocking_columns", blocking),
+            ("active_columns", active),
+        ]
+        with pytest.raises(InfeasibleRowError) as info:
+            max_solution(classify_all(prob))
+        assert info.value.row == row
+        assert str(info.value) == (
+            f"row {row} is infeasible: blocking columns {blocking}, {len(active)} active columns"
+        )
+
 
 class TestWorkCount:
     """``solve`` classifies, checks membership and sorts its corners a
     fixed number of times.
 
     Neither ``solve`` nor the feasibility decision calls the scalar
-    inverse: every level comes from one array pass.  A feasible ``solve``
-    reads the classification masks and builds no per-row tuple view.
+    inverse: every level comes from one array pass.
     """
 
     @staticmethod
@@ -303,13 +327,12 @@ class TestWorkCount:
                 (wpmfre.optimize, "check_membership"),
                 (wpmfre.lattice, "wpm_inverse"),
                 (WPM_MODULE, "wpm_inverse"),
-                (wpmfre.model, "RowClassification"),
             ],
         )
         report = solve(prob, simplify=simplify)
         assert report.status == STATUS_OPTIMAL
         assert calls == {"classify_all": classify_calls, "check_membership": 2}
-        assert calls["wpm_inverse"] == calls["RowClassification"] == 0
+        assert calls["wpm_inverse"] == 0
 
     @pytest.mark.parametrize(
         "make",
@@ -381,20 +404,16 @@ class TestSolveRandom:
             report = solve(prob)
             assert report.status == STATUS_OPTIMAL
             assert report.z_star <= float(prob.c @ report.x_max) + 1e-9
-            for cand in report.candidates:
-                if not cand.feasible:
-                    continue
-                corner = assemble_optimum(report.x_max, cand.point, prob.c)
+            for point in report.candidates.points[report.candidates.feasible]:
+                corner = assemble_optimum(report.x_max, point, prob.c)
                 assert report.z_star <= float(prob.c @ corner) + 1e-9
 
     def test_cell_samples_never_beat_optimum(self):
         rng = np.random.default_rng(55)
         for prob in small_instances(15, start=4600):
             report = solve(prob)
-            for cand in report.candidates:
-                if not cand.feasible:
-                    continue
-                lo = np.minimum(cand.point, report.x_max)
+            for point in report.candidates.points[report.candidates.feasible]:
+                lo = np.minimum(point, report.x_max)
                 u = rng.uniform(size=(60, prob.n))
                 points = lo + u * (report.x_max - lo)
                 costs = points @ prob.c

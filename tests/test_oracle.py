@@ -5,7 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, structure_instance
+from conftest import GOLDEN, selectors, structure_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,10 +206,12 @@ class TestExhaustiveCandidates:
         slow = exhaustive_candidates(golden_problem)
         fast = enumerate_candidates(classify_all(golden_problem))
         assert len(slow) == len(fast) == GOLDEN["choices_before"]
-        for s, f in zip(slow, fast):
-            assert s.choice == f.choice
-            assert s.point == pytest.approx(f.point, abs=1e-10)
-            assert s.feasible == f.feasible
+        for s, choice, point, feasible in zip(
+            slow, selectors(fast), fast.points, fast.feasible.tolist()
+        ):
+            assert s.choice == choice
+            assert s.point == pytest.approx(point, abs=1e-10)
+            assert s.feasible == feasible
 
     def test_single_row(self):
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
@@ -261,7 +263,7 @@ class TestDifferential:
             checked += 1
             slow = exhaustive_candidates(prob)
             fast = enumerate_candidates(classify_all(prob))
-            assert [s.choice for s in slow] == [f.choice for f in fast]
-            for s, f in zip(slow, fast):
-                assert s.point == pytest.approx(f.point, abs=1e-9)
-                assert s.feasible == f.feasible
+            assert [s.choice for s in slow] == selectors(fast)
+            for s, point, feasible in zip(slow, fast.points, fast.feasible.tolist()):
+                assert s.point == pytest.approx(point, abs=1e-9)
+                assert s.feasible == feasible

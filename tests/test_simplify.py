@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, row_values, structure_instance
+from conftest import GOLDEN, columns, row_groups, row_values, structure_instance
 
 import wpmfre.simplify
 from wpmfre import (
@@ -45,16 +45,16 @@ def small_instances(count, start=0, cap=256):
 def rule_log(problem, rule):
     """The pipeline's log entries of one rule, and the problem with only those applied."""
     _, log, _ = simplify_pipeline(problem, classify_all(problem))
-    entries = [e for e in log.entries if e.rule == rule]
+    entries = log.entries[log.entries["rule"] == rule]
     A = problem.A.copy()
-    A[[e.row for e in entries], [e.col for e in entries]] = 0.0
+    A[entries["row"], entries["col"]] = 0.0
     return problem.with_matrix(A), entries
 
 
 def distinct_feasible_points(problem):
     cls = classify_all(problem)
     distinct = feasible_candidates(enumerate_candidates(cls))
-    return sorted(tuple(cand.point) for cand in distinct)
+    return sorted(map(tuple, distinct.points))
 
 
 class TestFirstRule:
@@ -63,12 +63,12 @@ class TestFirstRule:
         expected = {
             (i, j) for i, inert in enumerate(GOLDEN["inert"]) for j in inert
         }
-        assert {(e.row, e.col) for e in entries} == expected
+        assert {(row, col) for _, row, col, _ in entries.tolist()} == expected
         _, log, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
-        assert log.entries[: len(entries)] == tuple(entries)
-        for e in entries:
-            assert e.old_value == golden_problem.A[e.row, e.col]
-            assert simplified.A[e.row, e.col] == 0.0
+        assert log.entries[: len(entries)].tolist() == entries.tolist()
+        for _, row, col, old_value in entries.tolist():
+            assert old_value == golden_problem.A[row, col]
+            assert simplified.A[row, col] == 0.0
 
     def test_golden_active_entries_untouched(self, golden_problem):
         simplified, _ = rule_log(golden_problem, "first")
@@ -76,7 +76,7 @@ class TestFirstRule:
             for j in active:
                 assert simplified.A[i, j] == golden_problem.A[i, j]
         after = classify_all(simplified)
-        assert [cls.active for cls in after] == GOLDEN["active"]
+        assert [columns(row) for row in after.active] == GOLDEN["active"]
 
     def test_golden_choice_count_unchanged(self, golden_problem):
         simplified, _ = rule_log(golden_problem, "first")
@@ -86,16 +86,16 @@ class TestFirstRule:
     def test_zero_inert_entry_not_logged(self):
         prob = tiny([[0.9, 0.0]], [0.8657])
         simplified, log, _ = simplify_pipeline(prob, classify_all(prob))
-        assert log.entries == ()
+        assert len(log.entries) == 0
         assert np.array_equal(simplified.A, prob.A)
 
 
 class TestSecondRule:
     def test_golden_removals(self, golden_problem):
         _, log, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
-        second = [e for e in log.entries if e.rule == "second"]
-        assert {(e.row, e.col) for e in second} == GOLDEN["second_rule_removals"]
-        assert [e.rule for e in log.entries[-len(second):]] == ["second"] * len(second)
+        second = log.entries[log.entries["rule"] == "second"]
+        assert {(row, col) for _, row, col, _ in second.tolist()} == GOLDEN["second_rule_removals"]
+        assert log.entries["rule"][-len(second):].tolist() == ["second"] * len(second)
         assert log.choices_before == GOLDEN["choices_before"]
         assert log.choices_after == GOLDEN["choices_after"]
 
@@ -122,13 +122,13 @@ class TestSecondRule:
     def test_identical_rows_not_removed(self):
         b = np.max(wpm(np.array([0.6, 0.4]), np.array([0.5, 0.2]), P))
         prob = tiny([[0.6, 0.4], [0.6, 0.4]], [b, b])
-        assert rule_log(prob, "second")[1] == []
+        assert rule_log(prob, "second")[1].tolist() == []
 
     def test_disjoint_active_columns_not_removed(self):
         prob = tiny([[0.8, 0.0], [0.0, 0.8]], [0.8, 0.8])
         cls = classify_all(prob)
-        assert [c.active for c in cls] == [(0,), (1,)]
-        assert rule_log(prob, "second")[1] == []
+        assert [columns(row) for row in cls.active] == [(0,), (1,)]
+        assert rule_log(prob, "second")[1].tolist() == []
 
 
 class TestPipeline:
@@ -136,12 +136,13 @@ class TestPipeline:
         _, log, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
         assert log.choices_before == GOLDEN["choices_before"]
         assert log.choices_after == GOLDEN["choices_after"]
-        first = [e for e in log.entries if e.rule == "first"]
-        second = {(e.row, e.col) for e in log.entries if e.rule == "second"}
+        entries = log.entries.tolist()
+        first = [e for e in entries if e[0] == "first"]
+        second = {(row, col) for rule, row, col, _ in entries if rule == "second"}
         assert len(first) == 25
         assert second == GOLDEN["second_rule_removals"]
-        for e in log.entries:
-            assert e.old_value == golden_problem.A[e.row, e.col]
+        for _, row, col, old_value in entries:
+            assert old_value == golden_problem.A[row, col]
 
     def test_golden_maximum_preserved(self, golden_problem):
         simplified, _, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
@@ -152,7 +153,7 @@ class TestPipeline:
     def test_golden_idempotent(self, golden_problem):
         simplified, _, _ = simplify_pipeline(golden_problem, classify_all(golden_problem))
         again, log, _ = simplify_pipeline(simplified, classify_all(simplified))
-        assert log.entries == ()
+        assert len(log.entries) == 0
         assert log.choices_before == log.choices_after == GOLDEN["choices_after"]
         assert np.array_equal(again.A, simplified.A)
 
@@ -163,13 +164,13 @@ class TestPipeline:
             simplified, _, after = simplify_pipeline(simplified, after)
         # no cell zeroed here is active again at 0, so the input's masks,
         # restricted, are the re-classification's
-        assert list(after) == list(classify_all(simplified))
+        assert row_groups(after) == row_groups(classify_all(simplified))
 
     def test_single_row_uses_only_first_rule(self):
         prob = tiny([[0.8969, 0.8403, 0.3]], [0.8657])
         _, log, _ = simplify_pipeline(prob, classify_all(prob))
-        assert all(e.rule == "first" for e in log.entries)
-        assert {(e.row, e.col) for e in log.entries} == {(0, 2)}
+        assert (log.entries["rule"] == "first").all()
+        assert {(row, col) for _, row, col, _ in log.entries.tolist()} == {(0, 2)}
 
     def test_infeasible_row_rejected(self):
         prob = tiny([[1.0], [0.5]], [0.5, 0.5])
@@ -193,8 +194,8 @@ class TestPreservation:
             for source, target in ((prob, simplified), (simplified, prob)):
                 cls = classify_all(source)
                 x_max = max_solution(cls).overall
-                for cand in feasible_candidates(enumerate_candidates(cls)):
-                    lo = np.minimum(cand.point, x_max)
+                for point in feasible_candidates(enumerate_candidates(cls)).points:
+                    lo = np.minimum(point, x_max)
                     u = rng.uniform(size=(40, source.n))
                     points = lo + u * (x_max - lo)
                     values = row_values(target, points)
@@ -204,8 +205,8 @@ class TestPreservation:
         for prob in small_instances(40, start=3200):
             before = classify_all(prob)
             simplified, log, after = simplify_pipeline(prob, before)
-            for cls_b, cls_a in zip(before, after):
-                assert set(cls_a.active) <= set(cls_b.active)
+            for row_b, row_a in zip(before.active, after.active):
+                assert set(columns(row_a)) <= set(columns(row_b))
             assert log.choices_after <= log.choices_before
             assert log.choices_after == choice_space_size(after)
             assert log.choices_after <= choice_space_size(classify_all(simplified))
@@ -265,9 +266,8 @@ class TestRuleTwoCellsLeaveSelectorSpace:
     def test_zeroed_cell_not_counted(self):
         prob = self.problem()
         simplified, log, after = simplify_pipeline(prob, classify_all(prob))
-        assert [(e.rule, e.row, e.col) for e in log.entries if e.rule == "second"] == [
-            ("second", 1, 0)
-        ]
+        second = log.entries[log.entries["rule"] == "second"]
+        assert [(rule, row, col) for rule, row, col, _ in second.tolist()] == [("second", 1, 0)]
         # b[1]**p <= 1 - w: the zeroed coefficient is active again
         assert classify_all(simplified).active[1, 0]
         assert not after.active[1, 0] and after.inert[1, 0]

@@ -56,6 +56,14 @@ class TestForward:
         with pytest.raises(DomainError):
             wpm(a, x, P)
 
+    def test_domain_error_names_the_first_bad_entry(self):
+        A = np.full((3, 4), 0.5)
+        A[1, 2], A[2, 0] = 1.25, -1.0
+        with pytest.raises(DomainError, match=r"^a\[1, 2\] = 1\.25 lies outside \[0, 1\]$"):
+            wpm(A, 0.5, P)
+        with pytest.raises(DomainError, match=r"^x = nan lies outside \[0, 1\]$"):
+            wpm(0.5, float("nan"), P)
+
     def test_array_broadcast_matches_scalar(self):
         # Vectorized powers may take a SIMD code path, so allow one ulp.
         rng = np.random.default_rng(7)
